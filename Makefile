@@ -187,6 +187,16 @@ bench:
 bench-check:
 	$(GO) run ./cmd/benchcheck
 
+# bench-smoke gates the host-time benchmark module (bench/, its own Go
+# module): its tests under the race detector, then one pass of every
+# workload at seed 1 with every run's simulated results checked against
+# bench/testdata/digests.json (115 cells). run.sh exits non-zero on any
+# failed run, so a behaviour drift fails the target.
+.PHONY: bench-smoke
+bench-smoke:
+	cd bench && $(GO) test -race ./...
+	bash bench/run.sh -seconds 0
+
 # bench-baseline prints the numbers in BENCH_baseline.json format worth
 # pasting in after a deliberate engine change (higher -count for stability).
 .PHONY: bench-baseline

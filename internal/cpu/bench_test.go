@@ -36,8 +36,8 @@ func BenchmarkHandshakeMemOp(b *testing.B) {
 
 // BenchmarkHandshakeCompute measures batched Compute calls interleaved
 // with a flushing blocking op — the shape kernel driver loops produce.
-// With lazy batching the Computes cost one queue append each; the replay
-// chain runs on the engine side without extra goroutine switches.
+// With batching the Computes cost one queue append each; the batch runs
+// on the engine side within the Load's handshake.
 func BenchmarkHandshakeCompute(b *testing.B) {
 	benchRun(b, func(t *Thread) {
 		for i := 0; i < b.N; i++ {

@@ -9,9 +9,12 @@
 // Each simulated thread is an ordinary Go function running on its own
 // goroutine, coroutined with the single-threaded simulation engine through
 // a strict channel handshake: the engine blocks while the thread decides
-// its next operation, and the thread blocks while the engine simulates it.
-// Exactly one of the two is ever runnable, so simulation remains
-// deterministic and race-free.
+// its next operations, and the thread blocks while the engine simulates
+// them. Exactly one of the two is ever runnable, so simulation remains
+// deterministic and race-free. The thread queues every operation whose
+// result it ignores and hands the queue over, as one batch of steps,
+// only when it needs a value back; the core interprets the batch on the
+// engine side (see Thread).
 package cpu
 
 import (
@@ -44,18 +47,63 @@ func (p Phase) String() string {
 	}
 }
 
-// threadOp is one simulated operation, executed on the engine goroutine.
-// It must arrange for c.complete to be called exactly once.
-type threadOp func(c *Core)
+// stepKind says what one thread operation does on the engine side.
+type stepKind uint8
+
+const (
+	stepDelay      stepKind = iota // Compute/SWBackoff: advance n cycles
+	stepPhase                      // SetPhase
+	stepAccess                     // Load/Store/SyncLoad/SyncStore/RMW
+	stepFence                      // wait for outstanding stores to drain
+	stepSelfInv                    // region self-invalidation
+	stepSigAcquire                 // signature self-invalidation
+	stepSigRelease                 // signature publication
+	stepWait                       // WaitDisturb
+	stepSpin                       // SpinSyncLoadUntil: epoch, SyncLoad, pred, WaitDisturb
+)
+
+// step is one thread operation, queued by the thread and interpreted by
+// the core on the engine goroutine.
+type step struct {
+	kind  stepKind
+	acc   proto.AccessKind    // stepAccess, stepSpin
+	comp  stats.TimeComponent // stepDelay
+	phase Phase               // stepPhase
+	n     sim.Cycle           // stepDelay
+	addr  proto.Addr
+	value uint64          // store value (stepAccess), sampled epoch (stepWait)
+	set   proto.RegionSet // stepSelfInv
+	rmw   proto.RMWOp
+	pred  func(uint64) bool // stepSpin
+}
+
+// isTime reports whether the step only advances time (and so does not
+// count toward Retired).
+func (s *step) isTime() bool { return s.kind == stepDelay || s.kind == stepPhase }
 
 // Core is one simulated processor.
 type Core struct {
-	eng *sim.Engine
-	id  proto.CoreID
-	l1  proto.L1Controller
+	eng     *sim.Engine
+	id      proto.CoreID
+	l1      proto.L1Controller
+	regions RegionMapper
 
-	ops  chan threadOp
+	ops  chan []step
 	resp chan uint64
+
+	// Interpreter state: the batch being run, the index of the step in
+	// flight, and that step's start cycle, backoff baseline and sampled
+	// epoch. At most one step per core is ever in flight.
+	batch []step
+	pc    int
+	start sim.Cycle
+	b0    sim.Cycle
+	epoch uint64
+
+	// Continuations, bound once so that running a step allocates nothing
+	// beyond its proto.Request.
+	issueFn, finishFn func()
+	accessDoneFn      func(uint64)
 
 	phase    Phase
 	time     stats.CoreTime
@@ -66,14 +114,16 @@ type Core struct {
 
 // NewCore builds core id over l1. onFinish runs when the thread ends.
 func NewCore(eng *sim.Engine, id proto.CoreID, l1 proto.L1Controller, onFinish func()) *Core {
-	return &Core{
+	c := &Core{
 		eng:      eng,
 		id:       id,
 		l1:       l1,
-		ops:      make(chan threadOp),
+		ops:      make(chan []step),
 		resp:     make(chan uint64),
 		onFinish: onFinish,
 	}
+	c.issueFn, c.finishFn, c.accessDoneFn = c.issue, c.finish, c.accessDone
+	return c
 }
 
 // ID returns the core's ID.
@@ -91,8 +141,14 @@ func (c *Core) Finished() bool { return c.finished }
 // Phase returns the core's current workload phase.
 func (c *Core) Phase() Phase { return c.phase }
 
-// Retired counts completed thread operations — the progress signal the
-// deadlock/livelock watchdog monitors.
+// Retired counts the thread's completed operations other than the pure
+// time steps (Compute, SWBackoff, SetPhase): one per memory access,
+// fence, self-invalidation, signature operation and WaitDisturb, and, in
+// SpinSyncLoadUntil, one per load and one per wait between loads. It is the
+// progress signal the deadlock/livelock watchdog monitors. It counts
+// steps as they complete, never handshakes, so it is the same whether
+// or not the thread batches, and it advances through a long batch of
+// operations that return no value.
 func (c *Core) Retired() uint64 { return c.retired }
 
 // Start schedules the core's first service of its thread at cycle 0.
@@ -100,11 +156,12 @@ func (c *Core) Start() {
 	c.eng.Schedule(0, c.serviceThread)
 }
 
-// serviceThread blocks the engine until the thread issues its next
-// operation (or ends), then runs it. The thread is guaranteed to be either
-// computing natively (and will promptly send) or already blocked sending.
+// serviceThread blocks the engine until the thread hands over its next
+// batch of steps (or ends), then starts the batch. The thread is
+// guaranteed to be either computing natively (and will promptly send) or
+// already blocked sending.
 func (c *Core) serviceThread() {
-	op, ok := <-c.ops
+	b, ok := <-c.ops
 	if !ok {
 		c.finished = true
 		c.time.Finish = c.eng.Now()
@@ -113,43 +170,133 @@ func (c *Core) serviceThread() {
 		}
 		return
 	}
-	op(c)
+	c.batch, c.pc = b, 0
+	c.run(0)
 }
 
-// complete resumes the thread with value v, then waits for its next op.
-// Called exactly once per threadOp, from an engine event.
-func (c *Core) complete(v uint64) {
-	c.retired++
-	c.resp <- v
-	c.serviceThread()
-}
-
-// replay re-enacts batched lazy steps as the exact event chain the eager
-// thread API would have produced — one event per step, each scheduled from
-// inside its predecessor — then runs op inside the final event. Keeping
-// the schedule-call sequence identical keeps (time, seq) dispatch order,
-// and therefore all simulated results, bit-identical to unbatched runs.
-func (c *Core) replay(steps []lazyStep, op threadOp) {
-	var run func(i int)
-	run = func(i int) {
-		if i == len(steps) {
-			op(c)
-			return
-		}
-		s := steps[i]
-		if s.setPhase {
-			c.eng.Schedule(0, func() {
-				c.phase = s.phase
-				run(i + 1)
-			})
-			return
-		}
-		c.eng.Schedule(s.delay, func() {
-			c.charge(s.comp, s.delay)
-			run(i + 1)
-		})
+// run starts the step at c.pc. Once the batch is exhausted it hands v,
+// the last step's result, back to the thread and waits for the next
+// batch. Each step starts inside its predecessor's completion callback —
+// where the thread, had it sent that step on its own, would have issued
+// it — so the schedule-call sequence, and with it every simulated
+// result, is the same however the thread's steps are batched.
+func (c *Core) run(v uint64) {
+	if c.pc == len(c.batch) {
+		c.batch = nil
+		c.resp <- v
+		c.serviceThread()
+		return
 	}
-	run(0)
+	s := &c.batch[c.pc]
+	switch s.kind {
+	case stepDelay:
+		c.eng.Schedule(s.n, c.finishFn)
+	case stepPhase:
+		c.eng.Schedule(0, c.finishFn)
+	case stepAccess:
+		c.start, c.b0 = c.eng.Now(), c.l1.BackoffStallCycles()
+		if s.acc.IsSync() {
+			// Sync accesses first drain outstanding stores (fence
+			// semantics of the data-race-free model).
+			c.l1.OnWritesDrained(c.issueFn)
+		} else {
+			c.issue()
+		}
+	case stepFence:
+		c.start = c.eng.Now()
+		c.l1.OnWritesDrained(c.finishFn)
+	case stepSelfInv:
+		c.l1.SelfInvalidate(s.set)
+		c.eng.Schedule(1, c.finishFn)
+	case stepSigAcquire:
+		c.l1.SignatureAcquire(s.addr)
+		c.eng.Schedule(1, c.finishFn)
+	case stepSigRelease:
+		c.l1.SignatureRelease(s.addr)
+		c.eng.Schedule(1, c.finishFn)
+	case stepWait:
+		c.start = c.eng.Now()
+		c.l1.WaitDisturb(s.addr, s.value, c.finishFn)
+	case stepSpin:
+		c.epoch = c.l1.Epoch(s.addr)
+		c.start, c.b0 = c.eng.Now(), c.l1.BackoffStallCycles()
+		c.l1.OnWritesDrained(c.issueFn)
+	default:
+		panic("cpu: unknown step kind")
+	}
+}
+
+// next ends the step in flight with result v and starts its successor.
+func (c *Core) next(v uint64) {
+	if !c.batch[c.pc].isTime() {
+		c.retired++
+	}
+	c.pc++
+	c.run(v)
+}
+
+// issue hands the in-flight access (or spin load) to the L1.
+func (c *Core) issue() {
+	s := &c.batch[c.pc]
+	c.l1.Access(&proto.Request{
+		Kind:   s.acc,
+		Addr:   s.addr,
+		Value:  s.value,
+		RMW:    s.rmw,
+		Region: c.regionOf(s.addr),
+		Done:   c.accessDoneFn,
+	})
+}
+
+func (c *Core) regionOf(addr proto.Addr) proto.RegionID {
+	if c.regions == nil {
+		return 0
+	}
+	return c.regions.RegionOf(addr)
+}
+
+// accessDone ends an access with its value. A spin whose predicate rejects
+// the value instead sleeps until the word is disturbed past the epoch
+// sampled before the load.
+func (c *Core) accessDone(v uint64) {
+	c.chargeAccess(c.eng.Now()-c.start, c.l1.BackoffStallCycles()-c.b0)
+	s := &c.batch[c.pc]
+	if s.kind == stepSpin && !s.pred(v) {
+		c.retired++ // the load; finish retires the wait
+		c.start = c.eng.Now()
+		c.l1.WaitDisturb(s.addr, c.epoch, c.finishFn)
+		return
+	}
+	c.next(v)
+}
+
+// finish ends every step but an access: it charges the step's cycles and
+// starts the next step, or, after a spin's wait, the spin's next
+// iteration.
+func (c *Core) finish() {
+	s := &c.batch[c.pc]
+	switch s.kind {
+	case stepDelay:
+		c.charge(s.comp, s.n)
+	case stepPhase:
+		c.phase = s.phase
+	case stepFence:
+		c.charge(stats.MemStall, c.eng.Now()-c.start)
+	case stepSelfInv, stepSigAcquire, stepSigRelease:
+		c.charge(stats.Compute, 1)
+	case stepWait, stepSpin:
+		// A wait is charged as compute: architecturally the core is
+		// spinning on local cache hits.
+		c.charge(stats.Compute, c.eng.Now()-c.start)
+		if s.kind == stepSpin {
+			c.retired++
+			c.run(0)
+			return
+		}
+	default:
+		panic("cpu: finish of an access step")
+	}
+	c.next(0)
 }
 
 // charge attributes n cycles to component comp, redirected by the current

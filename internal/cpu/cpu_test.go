@@ -187,3 +187,75 @@ func TestZeroComputeIsFree(t *testing.T) {
 		t.Fatalf("zero-length ops charged cycles: %v", ct)
 	}
 }
+
+// capL1 records the longest batch its core runs.
+type capL1 struct {
+	*fakeL1
+	core     *Core
+	maxBatch int
+}
+
+func (l *capL1) Access(req *proto.Request) {
+	if n := len(l.core.batch); n > l.maxBatch {
+		l.maxBatch = n
+	}
+	l.fakeL1.Access(req)
+}
+
+// TestStoreOnlyBatchesAreCapped: a thread that never needs a value hands
+// its operations over in batches of at most maxBatch steps, and every one
+// of them retires.
+func TestStoreOnlyBatchesAreCapped(t *testing.T) {
+	const stores = 100_000
+	eng := sim.NewEngine()
+	l1 := &capL1{fakeL1: newFakeL1(eng, 1)}
+	core := NewCore(eng, 0, l1, nil)
+	l1.core = core
+	core.Start()
+	th := NewThread(core, nil, sim.NewRNG(1))
+	go func() {
+		defer th.Close()
+		for i := 0; i < stores; i++ {
+			th.Store(proto.Addr(i%64*proto.WordBytes), uint64(i))
+		}
+	}()
+	eng.Run(0)
+	if !core.Finished() {
+		t.Fatal("store-only thread did not finish")
+	}
+	if l1.maxBatch != maxBatch {
+		t.Fatalf("longest batch = %d steps, want the cap %d", l1.maxBatch, maxBatch)
+	}
+	if core.Retired() != stores {
+		t.Fatalf("retired = %d, want %d", core.Retired(), stores)
+	}
+	if got := core.Time().Finish; got != stores {
+		t.Fatalf("finish = %d, want one cycle per store", got)
+	}
+}
+
+// TestBatchedOpsRetireAndCharge: operations that return no value queue
+// behind one another, yet each still charges its own cycles, and each
+// one other than the pure time steps retires.
+func TestBatchedOpsRetireAndCharge(t *testing.T) {
+	core := runOne(t, 10, func(th *Thread) {
+		th.Store(0x40, 1)                   // 1 issue + 9 stall
+		th.Fence()                          // fakeL1 drains at once
+		th.SelfInvalidate(proto.AllRegions) // 1
+		th.AcquireSignature(0x40)           // 1
+		th.ReleaseSignature(0x40)           // 1
+		th.WaitDisturb(0x40, 0)             // fakeL1 wakes after 5
+		th.SetPhase(PhaseKernel)
+		th.Compute(7)
+	})
+	ct := core.Time()
+	if ct.Finish != 25 {
+		t.Fatalf("finish = %d, want 25", ct.Finish)
+	}
+	if ct.Cycles[stats.Compute] != 16 || ct.Cycles[stats.MemStall] != 9 {
+		t.Fatalf("compute = %d, memstall = %d; want 16, 9", ct.Cycles[stats.Compute], ct.Cycles[stats.MemStall])
+	}
+	if core.Retired() != 6 {
+		t.Fatalf("retired = %d, want 6 (time steps do not retire)", core.Retired())
+	}
+}

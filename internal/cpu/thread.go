@@ -14,63 +14,75 @@ type RegionMapper interface {
 	RegionOf(proto.Addr) proto.RegionID
 }
 
-// Thread is the API simulated workload code is written against. All
-// methods marked "blocking" suspend the calling goroutine for the
-// simulated duration of the operation. A Thread's methods must only be
-// called from its own workload goroutine.
+// Thread is the API simulated workload code is written against. A
+// Thread's methods must only be called from its own workload goroutine.
 //
-// Pure time-advancing operations (Compute, SWBackoff, SetPhase) are
-// batched: they queue locally and are replayed as the exact event chain
-// the eager implementation would have produced when the next blocking
-// operation (or Close/Now/Epoch) flushes them. This skips two goroutine
-// context switches per batched call without perturbing the engine's event
-// sequence, so simulated results are bit-identical to unbatched runs.
+// Operations whose result the thread ignores — Compute, SWBackoff,
+// SetPhase, Store, SyncStore, Fence, SelfInvalidate, AcquireSignature,
+// ReleaseSignature and WaitDisturb — are batched: they queue locally and
+// return at once. The calling goroutine blocks only when it needs a value
+// back: in Load, SyncLoad, the read-modify-writes (CAS, FetchAdd,
+// TestAndSet, Exchange) and SpinSyncLoadUntil, and in Now, Epoch, Flush
+// and Close while steps are queued. A blocking call (or a full queue)
+// hands the whole queue to the core, which runs it on the engine side as
+// exactly the event chain one handshake per operation would have
+// produced, so simulated results are bit-identical to unbatched runs (see
+// EagerOps). Each batched operation is simulated in program order, with
+// its full duration: a SyncStore still completes only once globally
+// visible, and the operations after it start only then.
+//
+// Because of batching, native code that follows a batched operation runs
+// before that operation is simulated. Such code MUST call Flush before
+// natively reading or mutating simulator internals or host state shared
+// across threads; see Flush.
 type Thread struct {
 	// ID is the thread index, equal to the core ID it runs on.
 	ID int
 	// RNG is the thread-private deterministic random source.
 	RNG *sim.RNG
 
-	core    *Core
-	regions RegionMapper
-	pending []lazyStep
+	core  *Core
+	batch []step
 }
 
-// lazyStep is one queued time-advancing operation awaiting flush.
-type lazyStep struct {
-	delay    sim.Cycle
-	comp     stats.TimeComponent
-	setPhase bool
-	phase    Phase
-}
+// maxBatch bounds the queue: a thread that issues this many operations
+// without needing a value hands them over anyway. Handing a batch over
+// early is the unbatched schedule, so the bound cannot change results; it
+// only keeps store-only programs and ingested traces from queueing
+// without limit.
+const maxBatch = 64
 
 // NewThread binds a workload thread to core. regions may be nil if the
 // workload never uses regions.
 func NewThread(core *Core, regions RegionMapper, rng *sim.RNG) *Thread {
-	return &Thread{ID: int(core.id), RNG: rng, core: core, regions: regions}
+	core.regions = regions
+	return &Thread{ID: int(core.id), RNG: rng, core: core}
 }
 
-// do hands op to the core and blocks until the simulated completion.
-// Queued lazy steps are replayed first, as a chain of events identical to
-// the one the eager path would have scheduled; op runs inside the chain's
-// final event, exactly where it would have run after the last handshake.
-func (t *Thread) do(op threadOp) uint64 {
-	if len(t.pending) > 0 {
-		steps := t.pending
-		t.pending = t.pending[:0] // safe: t blocks until the chain completes
-		inner := op
-		op = func(c *Core) { c.replay(steps, inner) }
+// queue appends a step whose result the thread ignores, handing the
+// queue over when it is full (or at once under EagerOps).
+func (t *Thread) queue(s step) {
+	t.batch = append(t.batch, s)
+	if EagerOps || len(t.batch) == maxBatch {
+		t.send()
 	}
-	t.core.ops <- op
-	return <-t.core.resp
 }
 
-// flush drains queued lazy steps so the engine state observed by
-// non-blocking accessors (Now, Epoch) reflects them.
-func (t *Thread) flush() {
-	if len(t.pending) > 0 {
-		t.do(func(c *Core) { c.complete(0) })
-	}
+// call appends a step whose result the thread needs and blocks until it
+// completes, returning its value.
+func (t *Thread) call(s step) uint64 {
+	t.batch = append(t.batch, s)
+	return t.send()
+}
+
+// send hands the queued steps to the core and blocks until the last one
+// completes, returning its value. The core reads the batch only while
+// the thread is blocked here, so the buffer is reused afterwards.
+func (t *Thread) send() uint64 {
+	t.core.ops <- t.batch
+	v := <-t.core.resp
+	t.batch = t.batch[:0]
+	return v
 }
 
 // Rendezvous performs one empty handshake with the core, blocking the
@@ -82,86 +94,62 @@ func (t *Thread) flush() {
 // instead of racing across freshly spawned workload goroutines. The
 // handshake schedules no events and charges no time, so the simulated
 // event sequence is untouched.
-func (t *Thread) Rendezvous() {
-	t.do(func(c *Core) { c.complete(0) })
+func (t *Thread) Rendezvous() { t.send() }
+
+// Flush hands any queued operations to the core and blocks until they
+// have been simulated. Workload code MUST call it after a batched
+// operation and before natively reading or mutating simulator internals
+// (caches, the network, memory) or host state shared across threads
+// (e.g. the simulated-memory allocator): the flush pins that access to
+// the simulated time the program order implies, keeping the cross-thread
+// interleaving of such accesses identical to an unbatched run. Blocking
+// operations flush implicitly.
+func (t *Thread) Flush() {
+	if len(t.batch) > 0 {
+		t.send()
+	}
 }
 
-// Flush replays any batched time-advancing operations before returning.
-// Workload code MUST call it before natively reading or mutating host
-// state shared across threads (e.g. the simulated-memory allocator): the
-// flush pins that access to the current simulated time, keeping the
-// cross-thread interleaving of such accesses identical to an unbatched
-// run. Blocking operations flush implicitly.
-func (t *Thread) Flush() { t.flush() }
-
-// Now returns the current simulated cycle. (Safe: the engine is blocked
-// whenever workload code runs.)
+// Now returns the current simulated cycle, after flushing. (Safe: the
+// engine is blocked whenever workload code runs.)
 func (t *Thread) Now() sim.Cycle {
-	t.flush()
+	t.Flush()
 	return t.core.eng.Now()
 }
 
-func (t *Thread) regionOf(addr proto.Addr) proto.RegionID {
-	if t.regions == nil {
-		return 0
-	}
-	return t.regions.RegionOf(addr)
-}
-
-// memOp issues one memory access and blocks until its commit. Sync
-// accesses first drain outstanding stores (fence semantics of the
-// data-race-free model: acquire/release ordering at sync points).
-func (t *Thread) memOp(kind proto.AccessKind, addr proto.Addr, value uint64, rmw proto.RMWOp) uint64 {
-	return t.do(func(c *Core) {
-		start := c.eng.Now()
-		b0 := c.l1.BackoffStallCycles()
-		issue := func() {
-			c.l1.Access(&proto.Request{
-				Kind:   kind,
-				Addr:   addr,
-				Value:  value,
-				RMW:    rmw,
-				Region: t.regionOf(addr),
-				Done: func(v uint64) {
-					c.chargeAccess(c.eng.Now()-start, c.l1.BackoffStallCycles()-b0)
-					c.complete(v)
-				},
-			})
-		}
-		if kind.IsSync() {
-			c.l1.OnWritesDrained(issue)
-		} else {
-			issue()
-		}
-	})
+func accessStep(kind proto.AccessKind, addr proto.Addr, value uint64, rmw proto.RMWOp) step {
+	return step{kind: stepAccess, acc: kind, addr: addr, value: value, rmw: rmw}
 }
 
 // Load performs a blocking data load.
 func (t *Thread) Load(addr proto.Addr) uint64 {
-	return t.memOp(proto.DataLoad, addr, 0, nil)
+	return t.call(accessStep(proto.DataLoad, addr, 0, nil))
 }
 
-// Store performs a non-blocking data store: it returns after the L1
-// access; the coherence transaction drains in the background (see Fence).
+// Store performs a non-blocking data store: it completes after the L1
+// access; the coherence transaction drains in the background (see
+// Fence). Batched.
 func (t *Thread) Store(addr proto.Addr, value uint64) {
-	t.memOp(proto.DataStore, addr, value, nil)
+	t.queue(accessStep(proto.DataStore, addr, value, nil))
 }
 
 // SyncLoad performs a synchronization (volatile/atomic) load: sequentially
-// consistent, ordered after all prior accesses.
+// consistent, ordered after all prior accesses (outstanding stores drain
+// first: acquire/release ordering of the data-race-free model).
 func (t *Thread) SyncLoad(addr proto.Addr) uint64 {
-	return t.memOp(proto.SyncLoad, addr, 0, nil)
+	return t.call(accessStep(proto.SyncLoad, addr, 0, nil))
 }
 
-// SyncStore performs a synchronization store, blocking until the write is
-// globally visible (write atomicity).
+// SyncStore performs a synchronization store, which completes once the
+// write is globally visible (write atomicity). Batched: the thread's
+// later operations are simulated after it completes.
 func (t *Thread) SyncStore(addr proto.Addr, value uint64) {
-	t.memOp(proto.SyncStore, addr, value, nil)
+	t.queue(accessStep(proto.SyncStore, addr, value, nil))
 }
 
 // rmw runs an atomic read-modify-write, returning the pre-update value.
 func (t *Thread) rmw(addr proto.Addr, op proto.RMWOp) uint64 {
-	return t.memOp(proto.SyncRMW, addr, 0, op)
+	return t.call(accessStep(proto.SyncRMW, addr, 0, op))
 }
 
 // CAS atomically compares-and-swaps, reporting success.
@@ -190,131 +178,80 @@ func (t *Thread) Exchange(addr proto.Addr, value uint64) uint64 {
 	return t.rmw(addr, func(uint64) (uint64, bool) { return value, true })
 }
 
-// EagerOps disables the lazy batching of Compute/SWBackoff/SetPhase,
-// restoring the one-handshake-per-call reference implementation. The two
-// modes must produce bit-identical simulations (TestBatchingMatchesEager
-// checks this); set CPU_EAGER=1 to bisect a suspected batching bug.
+// EagerOps disables batching, restoring the one-handshake-per-operation
+// reference: every operation is handed to the core on its own, and
+// SpinSyncLoadUntil runs its loop on the thread. The two modes must
+// produce bit-identical simulations (TestBatchingMatchesEager checks
+// this); set CPU_EAGER=1 to bisect a suspected batching bug.
 var EagerOps = os.Getenv("CPU_EAGER") != ""
 
-// Compute burns n cycles of computation (1 CPI instructions). Batched:
-// the cycles are charged and the clock advanced when the next blocking
-// operation flushes the queue.
+// Compute burns n cycles of computation (1 CPI instructions). Batched.
 func (t *Thread) Compute(n sim.Cycle) {
 	if n == 0 {
 		return
 	}
-	if EagerOps {
-		t.do(func(c *Core) {
-			c.eng.Schedule(n, func() {
-				c.charge(stats.Compute, n)
-				c.complete(0)
-			})
-		})
-		return
-	}
-	t.pending = append(t.pending, lazyStep{delay: n, comp: stats.Compute})
+	t.queue(step{kind: stepDelay, comp: stats.Compute, n: n})
 }
 
 // SWBackoff stalls n cycles of software backoff (plotted separately).
-// Batched like Compute.
+// Batched.
 func (t *Thread) SWBackoff(n sim.Cycle) {
 	if n == 0 {
 		return
 	}
-	if EagerOps {
-		t.do(func(c *Core) {
-			c.eng.Schedule(n, func() {
-				c.charge(stats.SWBackoff, n)
-				c.complete(0)
-			})
-		})
-		return
-	}
-	t.pending = append(t.pending, lazyStep{delay: n, comp: stats.SWBackoff})
+	t.queue(step{kind: stepDelay, comp: stats.SWBackoff, n: n})
 }
 
 // SelfInvalidate drops cached Valid words of the given regions (DeNovo's
 // region-based static self-invalidation; a no-op on MESI). Costs one
-// instruction cycle.
+// instruction cycle. Batched.
 func (t *Thread) SelfInvalidate(set proto.RegionSet) {
-	t.do(func(c *Core) {
-		c.l1.SelfInvalidate(set)
-		c.eng.Schedule(1, func() {
-			c.charge(stats.Compute, 1)
-			c.complete(0)
-		})
-	})
+	t.queue(step{kind: stepSelfInv, set: set})
 }
 
 // AcquireSignature self-invalidates cached stale data matching the
 // write signature attached to lock (DeNovoND-style dynamic
 // self-invalidation; a no-op on MESI). Costs one instruction cycle.
+// Batched.
 func (t *Thread) AcquireSignature(lock proto.Addr) {
-	t.do(func(c *Core) {
-		c.l1.SignatureAcquire(lock)
-		c.eng.Schedule(1, func() {
-			c.charge(stats.Compute, 1)
-			c.complete(0)
-		})
-	})
+	t.queue(step{kind: stepSigAcquire, addr: lock})
 }
 
 // ReleaseSignature publishes this core's writes-since-last-release
 // signature to lock (a no-op on MESI). Costs one instruction cycle.
+// Batched.
 func (t *Thread) ReleaseSignature(lock proto.Addr) {
-	t.do(func(c *Core) {
-		c.l1.SignatureRelease(lock)
-		c.eng.Schedule(1, func() {
-			c.charge(stats.Compute, 1)
-			c.complete(0)
-		})
-	})
+	t.queue(step{kind: stepSigRelease, addr: lock})
 }
 
-// Fence blocks until all outstanding non-blocking stores have committed.
+// Fence waits until all outstanding non-blocking stores have committed.
+// Batched: the thread's later operations are simulated after it
+// completes.
 func (t *Thread) Fence() {
-	t.do(func(c *Core) {
-		start := c.eng.Now()
-		c.l1.OnWritesDrained(func() {
-			c.charge(stats.MemStall, c.eng.Now()-start)
-			c.complete(0)
-		})
-	})
+	t.queue(step{kind: stepFence})
 }
 
 // SetPhase switches the accounting phase (kernel / non-synch / barrier).
-// Batched: the switch takes effect, in program order, when the queue is
-// flushed (it costs its original zero-delay event then).
+// Batched: the switch takes effect, in program order, in a zero-delay
+// event.
 func (t *Thread) SetPhase(p Phase) {
-	if EagerOps {
-		t.do(func(c *Core) {
-			c.phase = p
-			c.eng.Schedule(0, func() { c.complete(0) })
-		})
-		return
-	}
-	t.pending = append(t.pending, lazyStep{setPhase: true, phase: p})
+	t.queue(step{kind: stepPhase, phase: p})
 }
 
-// Epoch samples the local disturbance counter for addr; pair with
-// WaitDisturb to implement efficient spin-waiting.
+// Epoch samples the local disturbance counter for addr, after flushing;
+// pair with WaitDisturb to implement efficient spin-waiting.
 func (t *Thread) Epoch(addr proto.Addr) uint64 {
-	t.flush()
+	t.Flush()
 	return t.core.l1.Epoch(addr)
 }
 
-// WaitDisturb blocks until the cached state of addr's word is disturbed by
+// WaitDisturb waits until the cached state of addr's word is disturbed by
 // remote protocol activity (epoch advances past the sampled epoch). The
 // wait is charged as compute: architecturally the core is spinning on
 // local cache hits (the paper notes spin hits dominate compute time).
+// Batched.
 func (t *Thread) WaitDisturb(addr proto.Addr, epoch uint64) {
-	t.do(func(c *Core) {
-		start := c.eng.Now()
-		c.l1.WaitDisturb(addr, epoch, func() {
-			c.charge(stats.Compute, c.eng.Now()-start)
-			c.complete(0)
-		})
-	})
+	t.queue(step{kind: stepWait, addr: addr, value: epoch})
 }
 
 // SpinSyncLoadUntil repeatedly sync-loads addr until pred accepts the
@@ -322,22 +259,30 @@ func (t *Thread) WaitDisturb(addr proto.Addr, epoch uint64) {
 // This is the efficient spin primitive: on MESI it models spinning on a
 // cached copy until invalidation; on DeNovo it models spinning on a
 // Registered word until a remote access revokes the registration.
+//
+// The loop — sample Epoch, SyncLoad, test pred, WaitDisturb, repeat —
+// runs on the engine side as one step, so the thread blocks once for the
+// whole spin. pred therefore runs on the engine goroutine and must be a
+// pure function of the loaded value: no side effects, no reads of state
+// that other threads change.
 func (t *Thread) SpinSyncLoadUntil(addr proto.Addr, pred func(uint64) bool) uint64 {
-	for {
-		e := t.Epoch(addr)
-		v := t.SyncLoad(addr)
-		if pred(v) {
-			return v
+	if EagerOps {
+		for {
+			e := t.Epoch(addr)
+			v := t.SyncLoad(addr)
+			if pred(v) {
+				return v
+			}
+			t.WaitDisturb(addr, e)
 		}
-		t.WaitDisturb(addr, e)
 	}
+	return t.call(step{kind: stepSpin, acc: proto.SyncLoad, addr: addr, pred: pred})
 }
 
-// Close ends the thread: the core observes the closed op channel and
-// records its finish time (after any queued lazy steps play out).
-// Deferred by the machine around the workload body; workload code never
-// calls it.
+// Close ends the thread: queued operations play out, then the core
+// observes the closed op channel and records its finish time. Deferred by
+// the machine around the workload body; workload code never calls it.
 func (t *Thread) Close() {
-	t.flush()
+	t.Flush()
 	close(t.core.ops)
 }

@@ -140,6 +140,7 @@ func TestIncrementCounterGrowsEveryN(t *testing.T) {
 			}
 			grown = sim.Cycle(l1(0).IncrementCounter())
 			th.SyncStore(flag, 7) // release resets the increment counter
+			th.Flush()            // SyncStore is batched: let it complete before sampling
 			afterRelease = sim.Cycle(l1(0).IncrementCounter())
 		case 1:
 			for i := 0; i < 9; i++ {
@@ -173,10 +174,12 @@ func TestDeNovoOwnedWriteIsSilent(t *testing.T) {
 		}
 		th.SyncStore(w, 1)
 		th.Fence()
+		th.Flush() // sample the network after the registering store
 		after1 = m.Net.TotalTraffic()
 		for i := 0; i < 100; i++ {
 			th.SyncStore(w, uint64(i))
 		}
+		th.Flush()
 		after100 = m.Net.TotalTraffic()
 	})
 	if err != nil {

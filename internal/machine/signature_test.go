@@ -124,6 +124,7 @@ func TestSignatureSelectivity(t *testing.T) {
 			th.SyncStore(turn, 1)
 			th.SpinSyncLoadUntil(turn, func(v uint64) bool { return v == 2 })
 			tk := lk.Acquire(th)
+			th.Flush() // the acquire's signature step is batched
 			hitsBefore = m.L1s[0].Stats().Hits[proto.DataLoad]
 			_ = th.Load(cold) // must still be cached (hit)
 			hitsAfter = m.L1s[0].Stats().Hits[proto.DataLoad]
