@@ -189,13 +189,14 @@ bench-check:
 
 # bench-smoke gates the host-time benchmark module (bench/, its own Go
 # module): its tests under the race detector, then one pass of every
-# workload at seed 1 with every run's simulated results checked against
-# bench/testdata/digests.json (115 cells). run.sh exits non-zero on any
-# failed run, so a behaviour drift fails the target.
+# workload at each of seeds 1, 2 and 3 with every run's simulated results
+# checked against bench/testdata/digests.json (115 cells per seed).
+# run.sh exits non-zero on any failed run, so a behaviour drift at any of
+# the three seeds fails the target.
 .PHONY: bench-smoke
 bench-smoke:
 	cd bench && $(GO) test -race ./...
-	bash bench/run.sh -seconds 0
+	for seed in 1 2 3; do bash bench/run.sh -seed $$seed -seconds 0 || exit 1; done
 
 # bench-baseline prints the numbers in BENCH_baseline.json format worth
 # pasting in after a deliberate engine change (higher -count for stability).

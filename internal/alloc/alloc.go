@@ -31,24 +31,39 @@ const (
 	// counted-pointer structures (PLJ queue) pack (address, serial) into
 	// one 64-bit word with a 32-bit address field.
 	laneBase proto.Addr = 1 << 28
-	// laneStride is each lane's arena size (1 MiB — ~16k line-padded
-	// two-word nodes, far beyond any kernel's appetite).
+	// laneStride is each lane's first arena size (1 MiB — ~16k
+	// line-padded two-word nodes, enough for every kernel but the 64-core
+	// MESI Herlihy heap at paper scale, which copies its whole heap per
+	// operation).
 	laneStride proto.Addr = 1 << 20
 	// maxLanes bounds the lane index (thread/core ID); the top lane ends
-	// at laneBase + maxLanes*laneStride = 0x5000_0000 < 2^32.
+	// at laneBase + maxLanes*laneStride = ovfBase.
 	maxLanes = 1024
+	// ovfBase is the first overflow arena: a lane whose first arena is
+	// full continues in its own overflow arena at ovfBase +
+	// laneID*ovfStride. The top one ends at 0xD000_0000 < 2^32.
+	ovfBase   proto.Addr = laneBase + maxLanes*laneStride
+	ovfStride proto.Addr = 2 << 20
 )
 
-// lane is one thread's private bump arena. next is touched only by the
+// lane is one thread's private bump arena: a first arena and, once that
+// is full, an overflow arena. next and limit are touched only by the
 // owning thread; regions slots are written by the owner before the
 // address escapes and read by any tile at L1-fill time, so they are
 // accessed atomically (the values are race-free by the publish chain, the
 // atomicity just makes the benign line-granularity prefetch well-defined).
+// The ovf slice is likewise set by the owner before the first overflow
+// address escapes.
 type lane struct {
 	next    proto.Addr
 	limit   proto.Addr
-	regions []uint32 // per word
+	regions []uint32 // per word of the first arena
+	ovf     []uint32 // per word of the overflow arena; nil until used
 }
+
+// laneStart and ovfStart locate lane id's two arenas.
+func laneStart(id int) proto.Addr { return laneBase + proto.Addr(id)*laneStride }
+func ovfStart(id int) proto.Addr  { return ovfBase + proto.Addr(id)*ovfStride }
 
 // Space is a simulated address space with region tagging.
 type Space struct {
@@ -136,7 +151,7 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 	}
 	ln := s.lanes[laneID].Load()
 	if ln == nil {
-		start := laneBase + proto.Addr(laneID)*laneStride
+		start := laneStart(laneID)
 		ln = &lane{
 			next:    start,
 			limit:   start + laneStride,
@@ -147,14 +162,24 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 	if rem := ln.next % proto.LineBytes; rem != 0 {
 		ln.next += proto.LineBytes - rem
 	}
+	size := proto.Addr(words * proto.WordBytes)
+	if ln.next+size > ln.limit && ln.ovf == nil {
+		// The first arena is full: continue in the overflow arena.
+		start := ovfStart(laneID)
+		ln.ovf = make([]uint32, ovfStride/proto.WordBytes)
+		ln.next, ln.limit = start, start+ovfStride
+	}
 	a := ln.next
-	ln.next += proto.Addr(words * proto.WordBytes)
+	ln.next += size
 	if ln.next > ln.limit {
 		panic("alloc: lane overflow")
 	}
-	slot := (a - (ln.limit - laneStride)) / proto.WordBytes
+	regions, slot := ln.regions, (a-laneStart(laneID))/proto.WordBytes
+	if ln.ovf != nil {
+		regions, slot = ln.ovf, (a-ovfStart(laneID))/proto.WordBytes
+	}
 	for i := 0; i < words; i++ {
-		atomic.StoreUint32(&ln.regions[slot+proto.Addr(i)], uint32(region))
+		atomic.StoreUint32(&regions[slot+proto.Addr(i)], uint32(region))
 	}
 	return a
 }
@@ -162,17 +187,24 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 // RegionOf implements proto.RegionMapper.
 func (s *Space) RegionOf(a proto.Addr) proto.RegionID {
 	w := a.Word()
-	if w >= laneBase {
-		li := (w - laneBase) / laneStride
+	switch {
+	case w >= ovfBase:
+		li := (w - ovfBase) / ovfStride
 		if li >= maxLanes {
 			return 0
 		}
 		ln := s.lanes[li].Load()
+		if ln == nil || ln.ovf == nil {
+			return 0
+		}
+		return proto.RegionID(atomic.LoadUint32(&ln.ovf[(w-ovfStart(int(li)))/proto.WordBytes]))
+	case w >= laneBase:
+		li := (w - laneBase) / laneStride
+		ln := s.lanes[li].Load()
 		if ln == nil {
 			return 0
 		}
-		start := ln.limit - laneStride
-		return proto.RegionID(atomic.LoadUint32(&ln.regions[(w-start)/proto.WordBytes]))
+		return proto.RegionID(atomic.LoadUint32(&ln.regions[(w-laneStart(int(li)))/proto.WordBytes]))
 	}
 	return s.regionOf[w]
 }

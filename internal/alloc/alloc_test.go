@@ -111,3 +111,72 @@ func TestUsed(t *testing.T) {
 		t.Fatalf("Used = %d, want 16", s.Used())
 	}
 }
+
+// TestLaneOverflowArena: a lane that fills its 1 MiB first arena
+// continues in its own overflow arena at a fixed address — below 2^32 for
+// counted pointers — with regions resolvable there, while every other
+// lane keeps drawing exactly the addresses it drew before.
+func TestLaneOverflowArena(t *testing.T) {
+	s := New()
+	const lane, other = 3, 4
+	first, spill := s.Region("first"), s.Region("spill")
+	perArena := int(laneStride / proto.LineBytes)
+	for i := 0; i < perArena; i++ {
+		a := s.LaneAllocAligned(lane, 2, first)
+		if want := proto.Addr(0x1030_0000) + proto.Addr(i)*proto.LineBytes; a != want {
+			t.Fatalf("allocation %d at %#x, want %#x", i, uint64(a), uint64(want))
+		}
+	}
+	a := s.LaneAllocAligned(lane, 2, spill)
+	if a != 0x5060_0000 {
+		t.Fatalf("first overflow allocation at %#x, want 0x5060_0000", uint64(a))
+	}
+	b := s.LaneAllocAligned(lane, 3, spill)
+	if b != a+proto.LineBytes {
+		t.Fatalf("second overflow allocation at %#x, want %#x", uint64(b), uint64(a+proto.LineBytes))
+	}
+	for _, c := range []struct {
+		addr proto.Addr
+		want proto.RegionID
+	}{
+		{0x1030_0000, first},
+		{0x1040_0000 - proto.LineBytes + proto.WordBytes, first}, // last word allocated in the first arena
+		{a, spill},
+		{a + proto.WordBytes, spill},
+		{a + 2*proto.WordBytes, 0}, // line padding after a 2-word node
+		{b + 2*proto.WordBytes, spill},
+		{b + 3*proto.WordBytes, 0},
+	} {
+		if got := s.RegionOf(c.addr); got != c.want {
+			t.Errorf("RegionOf(%#x) = %d, want %d", uint64(c.addr), got, c.want)
+		}
+	}
+	// The neighbouring lane is untouched: same first address as ever, and
+	// no overflow arena.
+	if got := s.LaneAllocAligned(other, 1, first); got != 0x1040_0000 {
+		t.Fatalf("lane %d first allocation at %#x, want 0x1040_0000", other, uint64(got))
+	}
+	if got := s.RegionOf(0x5080_0000); got != 0 {
+		t.Fatalf("RegionOf in lane %d's unused overflow arena = %d, want 0", other, got)
+	}
+	if s.lanes[other].Load().ovf != nil {
+		t.Fatal("a lane that never filled its first arena has an overflow arena")
+	}
+	// The top overflow arena still ends below 2^32.
+	if end := ovfStart(maxLanes-1) + ovfStride; end > 1<<32 {
+		t.Fatalf("overflow arenas end at %#x, past 2^32", uint64(end))
+	}
+}
+
+// TestLaneOverflowExhausted: a lane that fills its overflow arena too
+// still fails loudly.
+func TestLaneOverflowExhausted(t *testing.T) {
+	s := New()
+	s.LaneAllocAligned(5, int(ovfStride/proto.WordBytes), 0) // spills, fills the overflow arena
+	defer func() {
+		if recover() == nil {
+			t.Fatal("allocation past the overflow arena did not panic")
+		}
+	}()
+	s.LaneAllocAligned(5, 1, 0)
+}

@@ -112,9 +112,8 @@ func NewMonitor(m *machine.Machine, cfg MonitorConfig) *Monitor {
 	return mo
 }
 
-// Start arms the sampling loop and in-flight message tracking.
+// Start arms the sampling loop.
 func (mo *Monitor) Start() {
-	mo.m.Net.TrackInFlight()
 	mo.m.Eng.Schedule(mo.cfg.sampleEvery(), mo.sample)
 }
 

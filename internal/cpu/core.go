@@ -100,8 +100,8 @@ type Core struct {
 	b0    sim.Cycle
 	epoch uint64
 
-	// Continuations, bound once so that running a step allocates nothing
-	// beyond its proto.Request.
+	// Continuations, bound once so that running a step allocates nothing:
+	// the L1s complete an access by scheduling accessDoneFn with its value.
 	issueFn, finishFn func()
 	accessDoneFn      func(uint64)
 
@@ -238,7 +238,7 @@ func (c *Core) next(v uint64) {
 // issue hands the in-flight access (or spin load) to the L1.
 func (c *Core) issue() {
 	s := &c.batch[c.pc]
-	c.l1.Access(&proto.Request{
+	c.l1.Access(proto.Request{
 		Kind:   s.acc,
 		Addr:   s.addr,
 		Value:  s.value,

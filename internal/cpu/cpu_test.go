@@ -21,7 +21,7 @@ func newFakeL1(eng *sim.Engine, lat sim.Cycle) *fakeL1 {
 	return &fakeL1{eng: eng, latency: lat, mem: map[proto.Addr]uint64{}}
 }
 
-func (f *fakeL1) Access(req *proto.Request) {
+func (f *fakeL1) Access(req proto.Request) {
 	done := req.Done
 	addr, kind, val, rmw := req.Addr, req.Kind, req.Value, req.RMW
 	f.eng.Schedule(f.latency, func() {
@@ -195,7 +195,7 @@ type capL1 struct {
 	maxBatch int
 }
 
-func (l *capL1) Access(req *proto.Request) {
+func (l *capL1) Access(req proto.Request) {
 	if n := len(l.core.batch); n > l.maxBatch {
 		l.maxBatch = n
 	}

@@ -146,13 +146,13 @@ func TestRegistrationTransfer(t *testing.T) {
 	eng, reg, l1s := mini()
 	addr := proto.Addr(0x100)
 	done := 0
-	l1s[0].Access(&proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 5, Done: func(uint64) { done++ }})
+	l1s[0].Access(proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 5, Done: func(uint64) { done++ }})
 	eng.Run(0)
 	if reg.OwnerOf(addr) != 0 {
 		t.Fatalf("owner = %d, want 0", reg.OwnerOf(addr))
 	}
 	var got uint64
-	l1s[1].Access(&proto.Request{Kind: proto.SyncLoad, Addr: addr, Done: func(v uint64) { got = v; done++ }})
+	l1s[1].Access(proto.Request{Kind: proto.SyncLoad, Addr: addr, Done: func(v uint64) { got = v; done++ }})
 	eng.Run(0)
 	if got != 5 {
 		t.Fatalf("sync read got %d, want 5", got)
@@ -165,7 +165,7 @@ func TestRegistrationTransfer(t *testing.T) {
 		t.Fatal("previous registrant not downgraded to Valid")
 	}
 	// A remote write invalidates instead.
-	l1s[2].Access(&proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 9, Done: func(uint64) { done++ }})
+	l1s[2].Access(proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 9, Done: func(uint64) { done++ }})
 	eng.Run(0)
 	if l := l1s[1].cache.Lookup(addr); l != nil && l.WordState[addr.WordIndex()] == wr {
 		t.Fatal("write steal left previous registrant Registered")
@@ -183,7 +183,7 @@ func TestRegistrationTransfer(t *testing.T) {
 func TestValidateCatchesDoubleRegistrant(t *testing.T) {
 	eng, reg, l1s := mini()
 	addr := proto.Addr(0x200)
-	l1s[0].Access(&proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 1, Done: func(uint64) {}})
+	l1s[0].Access(proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 1, Done: func(uint64) {}})
 	eng.Run(0)
 	v := l1s[1].cache.Victim(addr)
 	l1s[1].cache.Install(v, addr)

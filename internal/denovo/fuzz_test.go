@@ -87,7 +87,7 @@ func FuzzMSHRSyncParking(f *testing.F) {
 		for _, b := range script {
 			l1 := l1s[int(b&3)]
 			addr := addrs[int(b>>4)&3]
-			req := &proto.Request{Addr: addr, Done: func(uint64) { completed++ }}
+			req := proto.Request{Addr: addr, Done: func(uint64) { completed++ }}
 			if b&4 == 0 {
 				req.Kind = proto.SyncRMW
 				req.RMW = func(cur uint64) (uint64, bool) { return cur + 1, true }

@@ -43,6 +43,11 @@ type L1 struct {
 	pendingStores int
 	drainWaiters  []func()
 
+	// storeDoneFn retires a non-blocking store once its registration
+	// completes. Bound once in NewL1, so that issuing a store allocates no
+	// continuation.
+	storeDoneFn func(uint64)
+
 	epochs   map[proto.Addr]uint64 // per word
 	disturbs map[proto.Addr][]func()
 
@@ -84,7 +89,7 @@ type L1 struct {
 // NewL1 constructs the DeNovo L1 for core id on node node. regions may be
 // nil (all data in region 0).
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID, regions proto.RegionMapper) *L1 {
-	return &L1{
+	c := &L1{
 		cfg:       cfg,
 		eng:       cfg.engAt(node),
 		id:        id,
@@ -99,6 +104,8 @@ func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID, regions proto.Region
 		wbBound:   make(map[proto.Addr]uint64),
 		incCtr:    cfg.initialIncrement(),
 	}
+	c.storeDoneFn = func(uint64) { c.storeCommitted() }
+	return c
 }
 
 // SetRegistry wires the shared registry (after construction).
@@ -295,7 +302,7 @@ func (c *L1) recvWBAck(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, seria
 }
 
 // Access starts a memory access (see proto.L1Controller).
-func (c *L1) Access(req *proto.Request) {
+func (c *L1) Access(req proto.Request) {
 	if req.Kind == proto.DataStore || req.Kind == proto.SyncStore {
 		// Non-blocking store (DeNovo writes are non-blocking by default,
 		// §5.2): retire after the L1 access cycle; the registration
@@ -307,15 +314,14 @@ func (c *L1) Access(req *proto.Request) {
 		// and writes line.Values *at issue time* (no transient states, §2.2),
 		// so a younger same-core load always hits the new value.
 		c.pendingStores++
-		done := req.Done
-		c.eng.Schedule(c.cfg.L1AccessLat, func() { done(0) })
-		c.access(req, func(uint64) { c.storeCommitted() }, true)
+		c.eng.ScheduleCall(c.cfg.L1AccessLat, req.Done, 0)
+		c.access(req, c.storeDoneFn, true)
 		return
 	}
 	c.access(req, req.Done, true)
 }
 
-func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
+func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 	word := req.Addr.Word()
 	unit := c.cfg.unitOf(req.Addr)
 	// A registration (any write, or a sync read) for a unit whose eviction
@@ -335,7 +341,7 @@ func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
 
 	finish := func(v uint64) {
 		if first {
-			c.eng.Schedule(c.cfg.L1AccessLat, func() { commit(v) })
+			c.eng.ScheduleCall(c.cfg.L1AccessLat, commit, v)
 		} else {
 			commit(v)
 		}
@@ -487,7 +493,7 @@ func (c *L1) sendReg(t *wtxn, stall sim.Cycle) {
 }
 
 // readMiss issues a plain data-read request (no registration).
-func (c *L1) readMiss(req *proto.Request, commit func(uint64), first bool) {
+func (c *L1) readMiss(req proto.Request, commit func(uint64), first bool) {
 	word := req.Addr.Word()
 	retry := func() { c.access(req, commit, false) }
 	if t := c.txns[word]; t != nil {

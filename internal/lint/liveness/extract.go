@@ -128,6 +128,18 @@ type pkgModel struct {
 	funcDecls   map[string]*ast.FuncDecl // package-level functions
 	assumed     map[string]string        // "file.go:line" -> reason
 	assumes     []Assume
+
+	// bound maps each continuation field bound exactly once, in a New*
+	// constructor, to the controller methods its binding calls.
+	bound map[*types.Var]*boundCont
+}
+
+// boundCont is a continuation field's fixed binding: a method value, or a
+// function literal that only calls methods of the same controller. Every
+// use of the field stands for calls to those methods.
+type boundCont struct {
+	recv    string   // controller recv type name
+	callees []string // method names, in binding order
 }
 
 func (p *pkgModel) posString(pos token.Pos) string {
@@ -155,6 +167,7 @@ func extractPackage(fset *token.FileSet, files []*ast.File, tpkg *types.Package,
 		chains:      map[*types.Var]*chainInfo{},
 		funcDecls:   map[string]*ast.FuncDecl{},
 		assumed:     map[string]string{},
+		bound:       map[*types.Var]*boundCont{},
 	}
 	for _, c := range spec.Controllers {
 		p.controllers[c.Recv] = c
@@ -189,10 +202,108 @@ func extractPackage(fset *token.FileSet, files []*ast.File, tpkg *types.Package,
 			p.methods[recv+"."+fn.Name.Name] = m
 		}
 	}
+	p.scanBoundContinuations()
 	for _, m := range p.methods {
 		p.extractMethod(m)
 	}
 	return p, nil
+}
+
+// scanBoundContinuations finds the controllers' continuation fields that
+// are written exactly once in the package, by an assignment inside a New*
+// constructor, and records what that binding calls (see boundCont). A
+// field written anywhere else is a hook that can change at run time, so
+// it resolves to nothing.
+func (p *pkgModel) scanBoundContinuations() {
+	writes := map[*types.Var]int{}
+	binding := map[*types.Var]ast.Expr{}
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ctor := fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "New")
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range v.Lhs {
+						if fv := p.fieldOf(lhs); fv != nil {
+							writes[fv]++
+							if ctor && len(v.Lhs) == len(v.Rhs) {
+								binding[fv] = v.Rhs[i]
+							}
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := v.Key.(*ast.Ident); ok {
+						if fv, ok := p.info.Uses[id].(*types.Var); ok && fv.IsField() {
+							writes[fv]++
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for fv, rhs := range binding {
+		if writes[fv] != 1 {
+			continue
+		}
+		if _, ok := fv.Type().Underlying().(*types.Signature); !ok {
+			continue
+		}
+		if b := p.continuationCallees(rhs); b != nil {
+			p.bound[fv] = b
+		}
+	}
+}
+
+// continuationCallees resolves a binding expression — a controller method
+// value, or a function literal whose statements are all calls of methods
+// of one controller — to those methods, or nil.
+func (p *pkgModel) continuationCallees(e ast.Expr) *boundCont {
+	method := func(e ast.Expr) (recv, name string) {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return "", ""
+		}
+		if s, ok := p.info.Selections[sel]; !ok || s.Kind() != types.MethodVal {
+			return "", ""
+		}
+		recv = p.recvControllerName(sel)
+		if recv == "" || p.methodByRecv(recv, sel.Sel.Name) == nil {
+			return "", ""
+		}
+		return recv, sel.Sel.Name
+	}
+	if recv, name := method(e); recv != "" {
+		return &boundCont{recv: recv, callees: []string{name}}
+	}
+	lit, ok := e.(*ast.FuncLit)
+	if !ok || len(lit.Body.List) == 0 {
+		return nil
+	}
+	b := &boundCont{}
+	for _, st := range lit.Body.List {
+		es, ok := st.(*ast.ExprStmt)
+		if !ok {
+			return nil
+		}
+		call, ok := es.X.(*ast.CallExpr)
+		if !ok {
+			return nil
+		}
+		recv, name := method(call.Fun)
+		if recv == "" || (b.recv != "" && recv != b.recv) {
+			return nil
+		}
+		b.recv = recv
+		if interestingCallee(name) {
+			b.callees = append(b.callees, name)
+		}
+	}
+	return b
 }
 
 // recvTypeName returns a method's receiver type name (pointer-stripped).
@@ -520,6 +631,17 @@ func (p *pkgModel) walkFactsStmt(m *method, stmt ast.Stmt, defs map[types.Object
 // found in e. Returns true if e was fully handled (no deeper scan
 // needed).
 func (p *pkgModel) factsInExpr(m *method, e ast.Expr, defs map[types.Object][]ast.Expr, conds []ast.Expr) bool {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		// A bound continuation field stands for the calls its binding
+		// makes, wherever the method hands it on or invokes it.
+		if b := p.bound[p.fieldOf(sel)]; b != nil && b.recv == m.recvName {
+			for _, name := range b.callees {
+				m.calls = append(m.calls, &callSite{pos: sel.Pos(), callee: name})
+			}
+			return true
+		}
+		return false
+	}
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false

@@ -167,6 +167,53 @@ func TestPlantedClassCycle(t *testing.T) {
 	}
 }
 
+// TestBoundContinuationDischargesPark: a park whose only wakeup runs
+// through a continuation field bound once in the constructor — handed to
+// the event queue, never called directly — certifies clean, with the
+// resolved call edge in the graph.
+func TestBoundContinuationDischargesPark(t *testing.T) {
+	g := fixtureGraph(t, "bound", []liveness.Controller{{Name: "bound.Ctl", Recv: "Ctl"}})
+	for _, f := range g.Findings {
+		t.Errorf("finding: %s", f)
+	}
+	edge := false
+	for _, e := range g.Edges {
+		if e.From == "bound.Ctl.Access" && e.To == "bound.Ctl.retire" && e.Kind == "call" {
+			edge = true
+		}
+	}
+	if !edge {
+		t.Errorf("no call edge bound.Ctl.Access -> bound.Ctl.retire through doneFn: %+v", g.Edges)
+	}
+	ok := false
+	for _, o := range g.Obligations {
+		if o.Rule == "unguarded-park" && o.Subject == "bound.Ctl.waiters" &&
+			o.Status == "discharged" && strings.Contains(o.By, "bound.Ctl.retire") {
+			ok = true
+		}
+	}
+	if !ok {
+		t.Errorf("park on bound.Ctl.waiters not discharged by retire: %+v", g.Obligations)
+	}
+}
+
+// TestBoundContinuationMissingDischarge: the same shape with the bound
+// continuation pointing at a method that never drains — the park is
+// still flagged, so resolution adds only the edges the binding makes.
+func TestBoundContinuationMissingDischarge(t *testing.T) {
+	g := fixtureGraph(t, "boundmiss", []liveness.Controller{{Name: "boundmiss.Ctl", Recv: "Ctl"}})
+	if len(g.Findings) != 1 {
+		for _, f := range g.Findings {
+			t.Logf("finding: %s", f)
+		}
+		t.Fatalf("got %d findings, want only the undischarged park", len(g.Findings))
+	}
+	f := wantFinding(t, g, "unguarded-park", "boundmiss.go:", "never woken")
+	if !strings.Contains(f.Message, "boundmiss.Ctl.waiters") {
+		t.Errorf("finding %q does not name the undischarged chain", f.Message)
+	}
+}
+
 // repoModuleDir walks up to the repository's own go.mod.
 func repoModuleDir(t *testing.T) string {
 	t.Helper()

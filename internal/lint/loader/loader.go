@@ -9,6 +9,7 @@ package loader
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -95,8 +96,9 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return p, nil
 }
 
-// parseDir parses the non-test Go files of dir in name order (with
-// comments, for //simlint:allow directives).
+// parseDir parses the non-test Go files of dir that the default build
+// context selects (build constraints honored, as the compiler does) in
+// name order, with comments, for //simlint:allow directives.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -109,7 +111,13 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		names = append(names, name)
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	var files []*ast.File

@@ -25,7 +25,7 @@ func fixtureModel() *lpisolate.Model {
 		Sliced:          map[string]bool{"fabric.Net.slots": true},
 		Wiring:          map[string]bool{},
 		MessageFns:      map[string]bool{"fabric.Net.Send": true},
-		Sanctioned:      map[string]bool{},
+		Sanctioned:      map[string]bool{"fabric.Net.ScheduleCall": true},
 		PackageDomains: map[string]string{
 			"tiles": "tile", "fabric": "fabric", "host": "host",
 		},
@@ -44,13 +44,15 @@ func extractFixture(t *testing.T) *lpisolate.Atlas {
 // TestFixtureFindings proves the prover catches every planted cross-tile
 // sharing shape: a shared peer pointer, slice-of-pointer and map-value
 // views, an unaudited injected hook, a host-state capture run in tile
-// context, and a mutating interface call.
+// context, a mutating interface call, and a peer's mutating method handed
+// to the sanctioned event API.
 func TestFixtureFindings(t *testing.T) {
 	a := extractFixture(t)
 	want := []struct{ file, substr string }{
 		{"tiles/tiles.go", "cross-tile write: tiles.Ctrl.PlantNext mutates tiles.Ctrl.count"},
 		{"tiles/tiles.go", "cross-tile write: tiles.Ctrl.PlantSlice mutates tiles.Ctrl.count"},
 		{"tiles/tiles.go", "cross-tile write: tiles.Ctrl.PlantMap mutates tiles.Ctrl.count"},
+		{"tiles/tiles.go", "cross-tile call: tiles.Ctrl.PlantScheduled invokes mutating tiles.Ctrl.addCount on a peer controller"},
 		{"tiles/tiles.go", "invoking injected hook tiles.Ctrl.hook without a //lpisolate:boundary"},
 		{"host/host.go", "cross-domain write: tile context mutates host-owned host.Host.started"},
 		{"host/host.go", "cross-tile call: host.Host.Poke invokes mutating tiles.Mut.Bump on a peer controller"},
@@ -107,6 +109,9 @@ func TestFixtureSanctionedPaths(t *testing.T) {
 	for _, f := range a.Findings {
 		if strings.Contains(f.Message, "SendBump") || strings.Contains(f.Message, "recvBump") {
 			t.Errorf("sanctioned Send-mediated path flagged: %s: %s", f.Pos, f.Message)
+		}
+		if strings.Contains(f.Message, "ScheduleOwn") {
+			t.Errorf("sanctioned own-method schedule flagged: %s: %s", f.Pos, f.Message)
 		}
 	}
 }

@@ -34,7 +34,7 @@ type Model struct {
 	Sliced map[string]bool
 
 	// Wiring lists methods beyond the Set*/New* prefixes whose writes
-	// count as construction-time wiring ("noc.Network.TrackInFlight").
+	// count as construction-time wiring ("noc.Network.EnableContention").
 	Wiring map[string]bool
 
 	// MessageFns lists the mediation calls ("noc.Network.Send"): the
@@ -44,7 +44,8 @@ type Model struct {
 
 	// Sanctioned lists the event-API calls a PDES runtime replaces
 	// wholesale ("sim.Engine.Schedule"): they are neither crossings nor
-	// findings, and func arguments inherit the caller's context.
+	// findings, and func arguments inherit the caller's context — a
+	// method value passed as one is a call made from that context.
 	Sanctioned map[string]bool
 
 	// PackageDomains maps a scope package's base name to the domain
@@ -78,9 +79,9 @@ func DefaultModel() *Model {
 			"pdes.Scheduler": "engine",
 			"pdes.Exchange":  "engine",
 			"noc.Network":    "noc",
-			"mem.Store":       "mem",
-			"mem.DRAM":        "mem",
-			"mem.SigTable":    "mem",
+			"mem.Store":      "mem",
+			"mem.DRAM":       "mem",
+			"mem.SigTable":   "mem",
 		},
 		TileControllers: map[string]bool{
 			"mesi.L1": true, "mesi.Directory": true,
@@ -90,16 +91,16 @@ func DefaultModel() *Model {
 		Shared: map[string]bool{"noc": true, "mem": true},
 		Sliced: map[string]bool{
 			// Each node's traffic endpoint: Send writes the source's
-			// slot, the delivery event writes the destination's.
+			// slot. Deliveries write no endpoint: the engine that
+			// dispatches a class-tagged delivery counts it.
 			"noc.Network.eps": true,
 			// Each memory controller's request counter, incremented by
 			// the delivery event running at that controller.
 			"mem.DRAM.accesses": true,
 		},
 		Wiring: map[string]bool{
-			// Pre-run configuration latches: arming in-flight tracking
-			// and the contention model happens during machine assembly.
-			"noc.Network.TrackInFlight":    true,
+			// Pre-run configuration latch: arming the contention model
+			// happens during machine assembly.
 			"noc.Network.EnableContention": true,
 		},
 		MessageFns: map[string]bool{
@@ -115,6 +116,10 @@ func DefaultModel() *Model {
 			"sim.Engine.Stop":     true,
 			"sim.Engine.Run":      true,
 			"sim.Engine.RunUntil": true,
+			// Typed forms of Schedule: the same event, carrying a bound
+			// continuation with its argument or a dispatch-count tag.
+			"sim.Engine.ScheduleCall":   true,
+			"sim.Engine.ScheduleTagged": true,
 			// The band-1 arrival entry point and the windowed run: the
 			// rest of the event API's PDES-mode counterparts, with the
 			// same engine-enforced invariants (monotone time, unique

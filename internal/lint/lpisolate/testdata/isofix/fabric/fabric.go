@@ -24,6 +24,12 @@ func (n *Net) Send(src, dst int, deliver func()) {
 	n.queue = append(n.queue, deliver)
 }
 
+// ScheduleCall is the fixture event API: fn(arg) runs later in the
+// scheduling tile's own context, like sim.Engine.ScheduleCall.
+func (n *Net) ScheduleCall(fn func(uint64), arg uint64) {
+	n.queue = append(n.queue, func() { fn(arg) })
+}
+
 // Drain runs the pending deliveries.
 func (n *Net) Drain() {
 	for len(n.queue) > 0 {

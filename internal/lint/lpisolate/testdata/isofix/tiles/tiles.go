@@ -97,6 +97,21 @@ func (c *Ctrl) recvBump() {
 	c.count++
 }
 
+// PlantScheduled hands a peer's mutating method to the event API: the
+// event runs in this tile's context, so the peer mutation is a finding.
+func (c *Ctrl) PlantScheduled() {
+	c.net.ScheduleCall(c.next.addCount, 1)
+}
+
+// ScheduleOwn schedules the controller's own mutating method: legal.
+func (c *Ctrl) ScheduleOwn() {
+	c.net.ScheduleCall(c.addCount, 1)
+}
+
+func (c *Ctrl) addCount(n uint64) {
+	c.count += int(n)
+}
+
 // Count reads the controller's own state.
 func (c *Ctrl) Count() int {
 	return c.count

@@ -352,7 +352,6 @@ func (a *analyzer) factsFor(fn string) *funcFacts {
 func (a *analyzer) handleCall(call *ast.CallExpr, ctx context, info *types.Info) {
 	fun := ast.Unparen(call.Fun)
 	ev := &callEvent{pos: call.Pos(), ctx: ctx}
-	calleeName := ""
 	switch fn := fun.(type) {
 	case *ast.Ident:
 		obj := info.Uses[fn]
@@ -363,7 +362,6 @@ func (a *analyzer) handleCall(call *ast.CallExpr, ctx context, info *types.Info)
 			return
 		}
 		if f, isFunc := obj.(*types.Func); isFunc {
-			calleeName = f.Name()
 			if f.Pkg() != nil {
 				ev.key = f.Pkg().Name() + "." + f.Name()
 			}
@@ -383,7 +381,6 @@ func (a *analyzer) handleCall(call *ast.CallExpr, ctx context, info *types.Info)
 			// Qualified call pkg.Fn(...) or package-level hook pkg.Var(...).
 			switch o := info.Uses[fn.Sel].(type) {
 			case *types.Func:
-				calleeName = o.Name()
 				if o.Pkg() != nil {
 					ev.key = o.Pkg().Name() + "." + o.Name()
 				}
@@ -397,20 +394,7 @@ func (a *analyzer) handleCall(call *ast.CallExpr, ctx context, info *types.Info)
 				}
 			}
 		case sel.Kind() == types.MethodVal:
-			calleeName = fn.Sel.Name
-			recvT := derefType(sel.Recv())
-			if iface, isIface := recvT.Underlying().(*types.Interface); isIface {
-				ev.iface = a.implementors(iface, calleeName)
-			}
-			if n := namedOf(sel.Recv()); n != nil {
-				ev.key = qnameOf(n) + "." + calleeName
-				ev.targetDomain = a.domainOf(n)
-				hops, base, _ := a.resolveChain(fn.X, false, info)
-				ev.path = a.makePath(hops, base, ctx, true)
-				if a.isTileController(n) && !(ev.path.baseIsRecv && len(hops) == 0) {
-					ev.peerCall = true
-				}
-			}
+			a.resolveMethod(ev, fn, sel, ctx, info)
 		case sel.Kind() == types.FieldVal:
 			// Invoking a func-typed field.
 			ev.funcField = true
@@ -448,7 +432,25 @@ func (a *analyzer) handleCall(call *ast.CallExpr, ctx context, info *types.Info)
 		a.walkBody(lit.Body, c, info)
 	}
 
-	if sanctioned || (ev.key == "" && !ev.funcField) {
+	if sanctioned {
+		// A method value handed to the event API runs later in this same
+		// context, exactly as if called here.
+		for _, arg := range call.Args {
+			fn, isSel := ast.Unparen(arg).(*ast.SelectorExpr)
+			if !isSel {
+				continue
+			}
+			if sel := info.Selections[fn]; sel != nil && sel.Kind() == types.MethodVal {
+				mv := &callEvent{pos: fn.Pos(), ctx: ctx}
+				a.resolveMethod(mv, fn, sel, ctx, info)
+				if mv.key != "" {
+					a.calls = append(a.calls, mv)
+				}
+			}
+		}
+		return
+	}
+	if ev.key == "" && !ev.funcField {
 		return
 	}
 	if messageCall {
@@ -462,6 +464,26 @@ func (a *analyzer) handleCall(call *ast.CallExpr, ctx context, info *types.Info)
 	if ev.key != "" && ev.path != nil && ev.path.baseIsRecv && ev.path.nhops == 0 &&
 		!ev.peerCall && !ev.path.viaPeer && ctx.kind != "message" {
 		a.factsFor(ctx.fn).recvCalls = append(a.factsFor(ctx.fn).recvCalls, ev.key)
+	}
+}
+
+// resolveMethod fills ev's callee key, target domain, receiver path and
+// peer flag from the method selector fn.
+func (a *analyzer) resolveMethod(ev *callEvent, fn *ast.SelectorExpr, sel *types.Selection, ctx context, info *types.Info) {
+	name := fn.Sel.Name
+	if iface, isIface := derefType(sel.Recv()).Underlying().(*types.Interface); isIface {
+		ev.iface = a.implementors(iface, name)
+	}
+	n := namedOf(sel.Recv())
+	if n == nil {
+		return
+	}
+	ev.key = qnameOf(n) + "." + name
+	ev.targetDomain = a.domainOf(n)
+	hops, base, _ := a.resolveChain(fn.X, false, info)
+	ev.path = a.makePath(hops, base, ctx, true)
+	if a.isTileController(n) && !(ev.path.baseIsRecv && len(hops) == 0) {
+		ev.peerCall = true
 	}
 }
 

@@ -25,7 +25,6 @@ func (m *Machine) runParallel(eventLimit uint64) error {
 		// here the coordinator runs the same progress check at each
 		// tick-aligned barrier, where the machine state is exactly what
 		// the serial tick event would observe.
-		m.Net.TrackInFlight()
 		last := ^uint64(0) // first tick always observes progress (startup)
 		sched.TickPeriod = wd
 		sched.OnTick = func() bool {

@@ -79,7 +79,6 @@ func (e *WatchdogError) Error() string {
 // retirements did not advance over a full budget; it stops rescheduling
 // (letting the event queue drain) once every thread finished.
 func (m *Machine) armWatchdog() {
-	m.Net.TrackInFlight()
 	budget := m.Params.WatchdogCycles
 	last := ^uint64(0) // first tick always observes progress (startup)
 	var tick func()

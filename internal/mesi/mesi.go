@@ -108,7 +108,15 @@ type L1 struct {
 	// coherence transaction commits the value to the line; a younger load
 	// from the same core must still see it (single-thread program order), so
 	// the hit check consults this buffer before the cached snapshot.
+	// fwdSpare recycles the slices of drained words, so that a store that
+	// hits allocates nothing.
 	storeFwd map[proto.Addr][]uint64
+	fwdSpare [][]uint64
+
+	// storeDoneFn retires a non-blocking store at protocol commit; its
+	// argument is the stored word (see access). Bound once in NewL1, so
+	// that issuing a store allocates no continuation.
+	storeDoneFn func(uint64)
 
 	epochs   map[proto.Addr]uint64 // per line, disturbance counter (WaitDisturb)
 	disturbs map[proto.Addr][]func()
@@ -130,7 +138,7 @@ type L1 struct {
 
 // NewL1 constructs the L1 for core id on node node.
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID) *L1 {
-	return &L1{
+	c := &L1{
 		cfg:      cfg,
 		eng:      cfg.engAt(node),
 		id:       id,
@@ -142,6 +150,11 @@ func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID) *L1 {
 		disturbs: make(map[proto.Addr][]func()),
 		storeFwd: make(map[proto.Addr][]uint64),
 	}
+	c.storeDoneFn = func(word uint64) {
+		c.popStoreFwd(proto.Addr(word))
+		c.storeCommitted()
+	}
+	return c
 }
 
 // SetDirectory wires the shared directory (after construction).
@@ -203,6 +216,7 @@ func (c *L1) popStoreFwd(word proto.Addr) {
 	vs := c.storeFwd[word]
 	if len(vs) <= 1 {
 		delete(c.storeFwd, word)
+		c.fwdSpare = append(c.fwdSpare, vs[:0])
 		return
 	}
 	c.storeFwd[word] = vs[1:]
@@ -220,7 +234,7 @@ func (c *L1) storeCommitted() {
 }
 
 // Access starts a memory access (see proto.L1Controller).
-func (c *L1) Access(req *proto.Request) {
+func (c *L1) Access(req proto.Request) {
 	if req.Kind == proto.DataStore || req.Kind == proto.SyncStore {
 		// Non-blocking store (§5.2: the GEMS MESI was modified to support
 		// non-blocking writes for a fair comparison with DeNovo): the core
@@ -230,22 +244,25 @@ func (c *L1) Access(req *proto.Request) {
 		// path of the *next* acquirer, per §6.1.1.
 		c.pendingStores++
 		word := req.Addr.Word()
-		c.storeFwd[word] = append(c.storeFwd[word], req.Value)
-		done := req.Done
-		c.eng.Schedule(c.cfg.L1AccessLat, func() { done(0) })
-		c.access(req, func(uint64) {
-			c.popStoreFwd(word)
-			c.storeCommitted()
-		}, true)
+		vs, ok := c.storeFwd[word]
+		if n := len(c.fwdSpare); !ok && n > 0 {
+			vs = c.fwdSpare[n-1] // a drained word's slice (see popStoreFwd)
+			c.fwdSpare = c.fwdSpare[:n-1]
+		}
+		c.storeFwd[word] = append(vs, req.Value)
+		c.eng.ScheduleCall(c.cfg.L1AccessLat, req.Done, 0)
+		c.access(req, c.storeDoneFn, true)
 		return
 	}
 	c.access(req, req.Done, true)
 }
 
-// access runs one attempt; commit fires exactly once at protocol commit.
-// first distinguishes the initial issue (charged an L1 access cycle and
-// counted in hit/miss stats) from post-miss retries.
-func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
+// access runs one attempt; commit fires exactly once at protocol commit,
+// with the value read — or, for a store, with the stored word, which
+// storeDoneFn retires from the forwarding buffer. first distinguishes the
+// initial issue (charged an L1 access cycle and counted in hit/miss stats)
+// from post-miss retries.
+func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 	line := c.cache.Lookup(req.Addr)
 	state := li
 	if line != nil {
@@ -256,7 +273,7 @@ func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
 
 	finish := func(v uint64) {
 		if first {
-			c.eng.Schedule(c.cfg.L1AccessLat, func() { commit(v) })
+			c.eng.ScheduleCall(c.cfg.L1AccessLat, commit, v)
 		} else {
 			commit(v)
 		}
@@ -300,7 +317,7 @@ func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
 			default:
 				line.Values[wi] = req.Value
 				c.cfg.Store.Write(req.Addr, req.Value)
-				finish(0)
+				finish(uint64(req.Addr.Word()))
 			}
 			return
 		}

@@ -48,7 +48,7 @@ func TestReadThenWriteTransitions(t *testing.T) {
 	addr := proto.Addr(0x100)
 	var val uint64
 	done := 0
-	l1s[0].Access(&proto.Request{Kind: proto.DataLoad, Addr: addr, Done: func(v uint64) { val = v; done++ }})
+	l1s[0].Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: func(v uint64) { val = v; done++ }})
 	eng.Run(0)
 	if done != 1 {
 		t.Fatal("load never completed")
@@ -58,13 +58,13 @@ func TestReadThenWriteTransitions(t *testing.T) {
 	}
 	_ = val
 	// Silent E→M upgrade on write.
-	l1s[0].Access(&proto.Request{Kind: proto.DataStore, Addr: addr, Value: 7, Done: func(uint64) { done++ }})
+	l1s[0].Access(proto.Request{Kind: proto.DataStore, Addr: addr, Value: 7, Done: func(uint64) { done++ }})
 	eng.Run(0)
 	if l1s[0].cfg.Store.Read(addr) != 7 {
 		t.Fatal("write hit lost")
 	}
 	// Remote write: FwdGetM invalidates core 0.
-	l1s[1].Access(&proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 9, Done: func(uint64) { done++ }})
+	l1s[1].Access(proto.Request{Kind: proto.SyncStore, Addr: addr, Value: 9, Done: func(uint64) { done++ }})
 	eng.Run(0)
 	if st, owner, _, busy := dir.StateOf(addr.Line()); st != byte(dm) || owner != 1 || busy {
 		t.Fatalf("after remote write: state=%d owner=%d busy=%t", st, owner, busy)
@@ -83,14 +83,14 @@ func TestSharersThenInvalidate(t *testing.T) {
 	eng, dir, l1s := mini()
 	addr := proto.Addr(0x200)
 	for _, c := range l1s[:3] {
-		c.Access(&proto.Request{Kind: proto.DataLoad, Addr: addr, Done: func(uint64) {}})
+		c.Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: func(uint64) {}})
 		eng.Run(0)
 	}
 	if st, _, sharers, _ := dir.StateOf(addr.Line()); st != byte(ds) || sharers != 3 {
 		t.Fatalf("after three reads: state=%d sharers=%d", st, sharers)
 	}
 	doneW := false
-	l1s[3].Access(&proto.Request{Kind: proto.SyncRMW, Addr: addr,
+	l1s[3].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr,
 		RMW:  func(old uint64) (uint64, bool) { return old + 1, true },
 		Done: func(uint64) { doneW = true }})
 	eng.Run(0)
@@ -115,7 +115,7 @@ func TestSharersThenInvalidate(t *testing.T) {
 func TestValidateCatchesCorruption(t *testing.T) {
 	eng, dir, l1s := mini()
 	addr := proto.Addr(0x300)
-	l1s[0].Access(&proto.Request{Kind: proto.DataStore, Addr: addr, Value: 1, Done: func(uint64) {}})
+	l1s[0].Access(proto.Request{Kind: proto.DataStore, Addr: addr, Value: 1, Done: func(uint64) {}})
 	eng.Run(0)
 	// Forge a second M copy.
 	v := l1s[1].cache.Victim(addr)

@@ -73,22 +73,20 @@ func abs(x int) int {
 }
 
 // endpoint is one node's tile-local slice of the traffic accounting.
-// Send writes only the source node's endpoint; delivery writes only the
-// destination node's. Keeping every mutable counter sliced per node is
-// what lets the isolation prover (internal/lint/lpisolate) certify the
-// network as PDES-partitionable: a logical process only ever touches
-// its own endpoint, and totals are aggregated by read-only sweeps.
+// Only Send writes it, and only the source node's endpoint. Keeping every
+// mutable counter sliced per node is what lets the isolation prover
+// (internal/lint/lpisolate) certify the network as PDES-partitionable: a
+// logical process only ever touches its own endpoint, and totals are
+// aggregated by read-only sweeps.
 type endpoint struct {
 	flitCrossings [proto.NumMsgClasses]uint64
 	messages      [proto.NumMsgClasses]uint64
 
-	// In-flight accounting splits across the two tiles involved: sent
-	// increments at the source when the message enters the mesh,
-	// delivered increments at the destination inside the delivery event.
-	// A class's in-flight count is sum(sent) - sum(delivered), so
-	// neither side ever writes the other's counters.
-	sent      [proto.NumMsgClasses]int64
-	delivered [proto.NumMsgClasses]int64
+	// sent counts messages per class that entered the mesh here. The
+	// delivery side needs no counter of its own: each delivery event is
+	// tagged with its class, and the engine that dispatches it counts it
+	// (see InFlight).
+	sent [proto.NumMsgClasses]uint64
 
 	// arrivalSeq is this node's running cross-router message counter: the
 	// per-source half of the (src, ctr) arrival tie-break key (see
@@ -104,8 +102,10 @@ type endpoint struct {
 // messages into per-edge mailboxes drained at window barriers.
 type Exchange interface {
 	// Deliver schedules fn at absolute cycle at on dst's queue. schedAt is
-	// the send cycle and (src, ctr) the sender-assigned arrival key.
-	Deliver(src, dst proto.NodeID, at, schedAt sim.Cycle, ctr uint64, fn func())
+	// the send cycle, (src, ctr) the sender-assigned arrival key, and tag
+	// the message class's event tag, which the event must carry so its
+	// dispatch is counted (see InFlight).
+	Deliver(src, dst proto.NodeID, at, schedAt sim.Cycle, ctr uint64, tag sim.Tag, fn func())
 }
 
 // Network delivers messages across a Mesh and tallies traffic.
@@ -114,9 +114,11 @@ type Network struct {
 	eng *sim.Engine
 
 	// engOf maps a node to the engine that executes its events — all the
-	// same engine in serial mode, one per logical process under PDES.
-	// Wiring-time state, frozen before the first send.
-	engOf []*sim.Engine
+	// same engine in serial mode, one per logical process under PDES —
+	// and engines lists the distinct ones, in node order, for the
+	// in-flight sweep. Wiring-time state, frozen before the first send.
+	engOf   []*sim.Engine
+	engines []*sim.Engine
 
 	// exchange, when non-nil, routes cross-router deliveries (see Exchange).
 	//lpisolate:boundary(wiring-injected cross-LP event exchange: per-edge mailboxes owned by the window scheduler, drained at barriers)
@@ -144,10 +146,6 @@ type Network struct {
 	//lpisolate:boundary(wiring-injected latency policy: owns only its own jitter state, audited in internal/chaos)
 	perturb func(now sim.Cycle, src, dst proto.NodeID, class proto.MsgClass, flits int, lat sim.Cycle) sim.Cycle
 
-	// track enables in-flight accounting (watchdog snapshots, end-of-run
-	// quiescence). Opt-in because it wraps every deliver closure.
-	track bool
-
 	// cont, when non-nil, switches latency to the link-contention model.
 	// Its per-link busy horizons are fabric state mutated on every send:
 	// under a PDES partition the contended mesh is its own logical
@@ -169,6 +167,7 @@ func New(eng *sim.Engine, mesh Mesh, perHopNum, perHopDen sim.Cycle) *Network {
 	for i := range n.engOf {
 		n.engOf[i] = eng
 	}
+	n.engines = []*sim.Engine{eng}
 	return n
 }
 
@@ -179,7 +178,29 @@ func (n *Network) SetEngines(engOf []*sim.Engine) {
 		panic("noc: SetEngines length mismatch")
 	}
 	copy(n.engOf, engOf)
+	n.engines = n.engines[:0]
+	for _, e := range engOf {
+		if !containsEngine(n.engines, e) {
+			n.engines = append(n.engines, e)
+		}
+	}
 }
+
+func containsEngine(es []*sim.Engine, e *sim.Engine) bool {
+	for _, x := range es {
+		if x == e {
+			return true
+		}
+	}
+	return false
+}
+
+// classTag is the event tag a message class's deliveries carry; tag 0
+// stays with untagged events.
+func classTag(class proto.MsgClass) sim.Tag { return sim.Tag(class) + 1 }
+
+// Every class needs its own tag: this fails to compile if they run out.
+const _ = uint(sim.NumTags - 1 - proto.NumMsgClasses)
 
 // SetExchange installs the cross-router delivery router (nil restores
 // direct scheduling on the destination node's engine). Wiring-time only.
@@ -196,7 +217,9 @@ func (n *Network) Latency(hops int) sim.Cycle {
 // Send transmits a message of flits flits from src to dst and schedules
 // deliver at arrival. Same-router transfers (hops = 0) are free and
 // instantaneous: they never touch a mesh link, matching the paper's traffic
-// metric. Send returns the modeled latency.
+// metric. Send returns the modeled latency. The delivery event is deliver
+// itself, tagged with the message class, so Send allocates nothing of its
+// own.
 //
 // Send must be called while executing on src's engine (every caller is a
 // tile-local controller or a delivery event already running at src).
@@ -225,28 +248,22 @@ func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, d
 	if n.perturb != nil {
 		lat = n.perturb(now, src, dst, class, flits, lat)
 	}
-	if n.track {
-		n.eps[src].sent[class]++
-		orig := deliver
-		deliver = func() {
-			n.eps[dst].delivered[class]++
-			orig()
-		}
-	}
+	n.eps[src].sent[class]++
+	tag := classTag(class)
 	if hops == 0 {
 		// Same router ⇒ same logical process under any partition: keep
 		// the local FIFO-ring fast path (and with it, the exact serial
 		// ordering of co-located transfers).
-		eng.Schedule(lat, deliver)
+		eng.ScheduleTagged(lat, tag, deliver)
 		return lat
 	}
 	ctr := n.eps[src].arrivalSeq
 	n.eps[src].arrivalSeq++
 	at := now + lat
 	if x := n.exchange; x != nil {
-		x.Deliver(src, dst, at, now, ctr, deliver)
+		x.Deliver(src, dst, at, now, ctr, tag, deliver)
 	} else {
-		n.engOf[dst].ScheduleArrivalAt(at, now, uint32(src), ctr, deliver)
+		n.engOf[dst].ScheduleArrivalAt(at, now, uint32(src), ctr, tag, deliver)
 	}
 	return lat
 }
@@ -256,20 +273,23 @@ func (n *Network) SetPerturb(fn func(now sim.Cycle, src, dst proto.NodeID, class
 	n.perturb = fn
 }
 
-// TrackInFlight enables per-class counting of sent-but-undelivered
-// messages. It cannot be disabled once enabled: a message sent while
-// tracking was on must still decrement its class counter at delivery.
-func (n *Network) TrackInFlight() { n.track = true }
-
-// InFlight returns the sent-but-undelivered message count per class
-// (all zero unless TrackInFlight was called): the per-endpoint sent
-// counters minus the delivered ones, swept in node order.
+// InFlight returns the sent-but-undelivered message count per class: the
+// per-endpoint sent counters, swept in node order, minus the class-tagged
+// deliveries each distinct engine has dispatched. A message waiting in a
+// PDES mailbox, or one an Exchange never scheduled, is sent and not
+// dispatched, so it counts as in flight. The accounting is always on and
+// costs Send one counter increment.
 func (n *Network) InFlight() [proto.NumMsgClasses]int64 {
 	var out [proto.NumMsgClasses]int64
-	for i := range n.eps {
-		for c := range out {
-			out[c] += n.eps[i].sent[c] - n.eps[i].delivered[c]
+	for c := range out {
+		var sent, delivered uint64
+		for i := range n.eps {
+			sent += n.eps[i].sent[c]
 		}
+		for _, e := range n.engines {
+			delivered += e.Dispatched(classTag(proto.MsgClass(c)))
+		}
+		out[c] = int64(sent - delivered)
 	}
 	return out
 }
@@ -323,7 +343,7 @@ func (n *Network) TotalTraffic() uint64 {
 
 // ResetStats clears the traffic counters (e.g. after warmup). In-flight
 // accounting deliberately survives a reset: a message sent before the
-// reset must still balance its sent counter at delivery.
+// reset must still balance its sent counter when it is dispatched.
 func (n *Network) ResetStats() {
 	for i := range n.eps {
 		n.eps[i].flitCrossings = [proto.NumMsgClasses]uint64{}

@@ -68,6 +68,7 @@ type arrival struct {
 	src         proto.NodeID
 	at, schedAt sim.Cycle
 	ctr         uint64
+	tag         sim.Tag // the message class's tag: a parked message counts as in flight
 	fn          func()
 }
 
@@ -102,15 +103,15 @@ func NewExchange(part Partition, engines []*sim.Engine) *Exchange {
 }
 
 // Deliver implements noc.Exchange. It runs on the sending LP's goroutine.
-func (x *Exchange) Deliver(src, dst proto.NodeID, at, schedAt sim.Cycle, ctr uint64, fn func()) {
+func (x *Exchange) Deliver(src, dst proto.NodeID, at, schedAt sim.Cycle, ctr uint64, tag sim.Tag, fn func()) {
 	srcLP, dstLP := x.part.LPOf(src), x.part.LPOf(dst)
 	if srcLP == dstLP {
-		x.engines[dstLP].ScheduleArrivalAt(at, schedAt, uint32(src), ctr, fn)
+		x.engines[dstLP].ScheduleArrivalAt(at, schedAt, uint32(src), ctr, tag, fn)
 		return
 	}
 	mb := &x.boxes[srcLP][dstLP]
 	mb.mu.Lock()
-	mb.msgs = append(mb.msgs, arrival{src: src, at: at, schedAt: schedAt, ctr: ctr, fn: fn})
+	mb.msgs = append(mb.msgs, arrival{src: src, at: at, schedAt: schedAt, ctr: ctr, tag: tag, fn: fn})
 	mb.mu.Unlock()
 }
 
@@ -126,7 +127,7 @@ func (x *Exchange) drainInto(dstLP int) {
 		mb.msgs = nil
 		mb.mu.Unlock()
 		for _, m := range msgs {
-			eng.ScheduleArrivalAt(m.at, m.schedAt, uint32(m.src), m.ctr, m.fn)
+			eng.ScheduleArrivalAt(m.at, m.schedAt, uint32(m.src), m.ctr, m.tag, m.fn)
 		}
 	}
 }

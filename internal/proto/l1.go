@@ -9,8 +9,10 @@ type L1Controller interface {
 	// Access starts a memory access. req.Done is invoked (in a later engine
 	// event) when the access commits. Non-blocking data stores call Done at
 	// local commit while the coherence transaction continues in the
-	// background; everything else calls Done when globally complete.
-	Access(req *Request)
+	// background; everything else calls Done when globally complete. The
+	// request is passed by value: nothing mutates it after issue, and an
+	// access that hits allocates nothing.
+	Access(req Request)
 
 	// SelfInvalidate drops every cached Valid word whose region is in set
 	// (DeNovo); a no-op for MESI, whose writer-initiated invalidations make

@@ -103,8 +103,8 @@ func TestArrivalOrderingAtOverflowBoundary(t *testing.T) {
 	// Two arrivals sent at maxCycle-1 from different sources, and one
 	// band-0 event scheduled earlier for the same cycle: band 0 first,
 	// then arrivals by (src, ctr).
-	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 7, 5, func() { got = append(got, 3) })
-	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 2, 9, func() { got = append(got, 2) })
+	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 7, 5, 0, func() { got = append(got, 3) })
+	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 2, 9, 0, func() { got = append(got, 2) })
 	e.At(maxCycle, func() { got = append(got, 1) }) // schedAt 0 < maxCycle-1
 	e.Run(0)
 	want := []int{1, 2, 3}
@@ -123,9 +123,14 @@ func TestArenaFreeListReuse(t *testing.T) {
 	e := NewEngine()
 	const waves, per = 8, 100
 	nop := func() {}
+	call := func(uint64) {}
 	for w := 0; w < waves; w++ {
 		for i := 0; i < per; i++ {
-			e.Schedule(Cycle(i%7), nop)
+			if i%2 == 0 {
+				e.Schedule(Cycle(i%7), nop)
+			} else {
+				e.ScheduleCall(Cycle(i%7), call, uint64(i))
+			}
 		}
 		e.Run(0)
 		if w == 0 {
@@ -136,7 +141,7 @@ func TestArenaFreeListReuse(t *testing.T) {
 		}
 	}
 	// Free-list integrity: every slot is on the list exactly once and
-	// carries no retained closure.
+	// carries no retained closure of either payload form.
 	seen := make(map[int32]bool)
 	n := 0
 	for i := e.free; i != nilIdx; i = e.arena[i].next {
@@ -146,6 +151,9 @@ func TestArenaFreeListReuse(t *testing.T) {
 		seen[i] = true
 		if e.arena[i].fn != nil {
 			t.Fatalf("released slot %d retains its closure", i)
+		}
+		if e.arena[i].call != nil {
+			t.Fatalf("released slot %d retains its call continuation", i)
 		}
 		n++
 	}

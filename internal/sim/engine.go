@@ -31,21 +31,43 @@
 // scheduled while the clock already stood at its cycle (schedAt = at =
 // now), so it sorts after every heap event for that cycle, all of which
 // were created earlier (schedAt < now).
+//
+// Events are typed, so that hot paths schedule without allocating. An
+// event runs either a func() or a func(uint64) with an argument
+// (ScheduleCall): a caller holding a continuation bound once at
+// construction passes it with its value instead of wrapping both in a
+// fresh closure. An event may also carry a small Tag, and the engine
+// counts dispatched events per tag (Dispatched); the network tags each
+// delivery with its message class, which makes in-flight accounting a
+// subtraction rather than a wrapper closure per message. Neither the
+// payload form nor the tag affects ordering: every schedule consumes
+// exactly one sequence number, whatever its form.
 package sim
 
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
-// event is a closure scheduled to run at a particular cycle. schedAt and
-// key order same-cycle events deterministically (see the package comment).
-// Events are pooled: next links free arena slots.
+// event is work scheduled to run at a particular cycle: fn(), or
+// call(arg) when call is set. schedAt and key order same-cycle events
+// deterministically (see the package comment). Events are pooled: next
+// links free arena slots.
 type event struct {
 	at      Cycle
 	schedAt Cycle
 	key     uint64
 	fn      func()
+	call    func(uint64)
+	arg     uint64
+	tag     Tag
 	next    int32 // free-list link; -1 terminates
 }
+
+// Tag labels an event for per-tag dispatch counting (see Dispatched).
+// Tag 0 is the default of untagged events; tags never affect ordering.
+type Tag uint8
+
+// NumTags bounds the tag space: valid tags are 0..NumTags-1.
+const NumTags = 8
 
 const nilIdx = int32(-1)
 
@@ -73,6 +95,9 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 
+	// dispatched counts dispatched events per tag.
+	dispatched [NumTags]uint64
+
 	// Executed counts events dispatched since construction; useful for
 	// detecting livelock in tests.
 	Executed uint64
@@ -84,49 +109,80 @@ func NewEngine() *Engine { return &Engine{free: nilIdx} }
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// alloc takes an arena slot from the free list (or grows the arena).
-func (e *Engine) alloc(at, schedAt Cycle, key uint64, fn func()) int32 {
+// alloc takes an arena slot from the free list (or grows the arena) and
+// sets its ordering key; the caller sets the payload and tag.
+func (e *Engine) alloc(at, schedAt Cycle, key uint64) int32 {
 	if i := e.free; i != nilIdx {
 		ev := &e.arena[i]
 		e.free = ev.next
-		ev.at, ev.schedAt, ev.key, ev.fn = at, schedAt, key, fn
+		ev.at, ev.schedAt, ev.key = at, schedAt, key
 		return i
 	}
-	e.arena = append(e.arena, event{at: at, schedAt: schedAt, key: key, fn: fn})
+	e.arena = append(e.arena, event{at: at, schedAt: schedAt, key: key})
 	return int32(len(e.arena) - 1)
 }
 
-// release returns slot i to the free list, dropping the closure so the
+// release returns slot i to the free list, dropping the payload so the
 // pool does not retain captured state.
 func (e *Engine) release(i int32) {
 	ev := &e.arena[i]
-	ev.fn = nil
+	ev.fn, ev.call = nil, nil
 	ev.next = e.free
 	e.free = i
 }
 
-// TraceSchedule, when non-nil, observes every Schedule call. Diagnostic
-// hook: two runs are bit-identical iff their Schedule traces match, so
-// diffing traces pinpoints the first divergent event when an optimization
-// that claims to preserve behavior does not.
+// TraceSchedule, when non-nil, observes every local schedule — Schedule,
+// ScheduleTagged, ScheduleCall and At — with the sequence number it
+// consumes. Diagnostic hook: two runs are bit-identical iff their
+// schedule traces match, so diffing traces pinpoints the first divergent
+// event when an optimization that claims to preserve behavior does not.
 var TraceSchedule func(now Cycle, delay Cycle, seq uint64)
 
 // Schedule runs fn after delay cycles (0 = later this cycle, after events
 // already queued for this cycle).
 func (e *Engine) Schedule(delay Cycle, fn func()) {
+	e.schedule(delay, fn, nil, 0, 0)
+}
+
+// ScheduleTagged is Schedule for an event counted under tag when it
+// dispatches (see Dispatched).
+func (e *Engine) ScheduleTagged(delay Cycle, tag Tag, fn func()) {
+	checkTag(tag)
+	e.schedule(delay, fn, nil, 0, tag)
+}
+
+// ScheduleCall runs fn(arg) after delay cycles. It takes the same queue
+// position and sequence number as Schedule(delay, func() { fn(arg) })
+// would, without allocating that closure: callers pass a continuation
+// bound once and the value it completes with.
+func (e *Engine) ScheduleCall(delay Cycle, fn func(uint64), arg uint64) {
+	e.schedule(delay, nil, fn, arg, 0)
+}
+
+// schedule enqueues a band-0 event after delay cycles that runs fn(), or
+// call(arg) when call is set, consuming the next sequence number.
+func (e *Engine) schedule(delay Cycle, fn func(), call func(uint64), arg uint64, tag Tag) {
 	if TraceSchedule != nil {
 		TraceSchedule(e.now, delay, e.seq+1)
 	}
-	if fn == nil {
+	if fn == nil && call == nil {
 		panic("sim: Schedule with nil fn")
 	}
 	e.seq++
-	i := e.alloc(e.now+delay, e.now, e.seq, fn)
+	i := e.alloc(e.now+delay, e.now, e.seq)
+	ev := &e.arena[i]
+	ev.fn, ev.call, ev.arg, ev.tag = fn, call, arg, tag
 	if delay == 0 {
 		e.ringPush(i)
 		return
 	}
 	e.heapPush(i)
+}
+
+func checkTag(tag Tag) {
+	if tag >= NumTags {
+		panic("sim: event tag out of range")
+	}
 }
 
 // ScheduleArrivalAt enqueues a cross-tile message arrival: fn runs at the
@@ -135,8 +191,9 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 // partitioned run reconstructs the exact serial dispatch order. schedAt is
 // the cycle the message was sent (strictly before at: cross-router
 // latency is at least one cycle), src the sending node, and ctr the
-// sender's running arrival counter.
-func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, fn func()) {
+// sender's running arrival counter. The arrival counts under tag when it
+// dispatches.
+func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, tag Tag, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleArrivalAt with nil fn")
 	}
@@ -146,10 +203,17 @@ func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, fn
 	if ctr >= 1<<arrivalCtrBits {
 		panic("sim: arrival counter overflow")
 	}
+	checkTag(tag)
 	key := arrivalBand | uint64(src)<<arrivalCtrBits | ctr
-	i := e.alloc(at, schedAt, key, fn)
+	i := e.alloc(at, schedAt, key)
+	ev := &e.arena[i]
+	ev.fn, ev.tag = fn, tag
 	e.heapPush(i)
 }
+
+// Dispatched returns the number of events carrying tag that have been
+// dispatched since construction.
+func (e *Engine) Dispatched(tag Tag) uint64 { return e.dispatched[tag] }
 
 // At runs fn at the absolute cycle t. Scheduling in the past panics: it
 // would silently corrupt causality.
@@ -206,22 +270,7 @@ const maxCycle = ^Cycle(0)
 // dispatched by this call.
 func (e *Engine) Run(limit uint64) uint64 {
 	e.stopped = false
-	var n uint64
-	for !e.stopped {
-		if limit > 0 && n >= limit {
-			break
-		}
-		i := e.next(maxCycle)
-		if i == nilIdx {
-			break
-		}
-		fn := e.arena[i].fn
-		e.release(i)
-		fn()
-		n++
-		e.Executed++
-	}
-	return n
+	return e.drain(maxCycle, limit)
 }
 
 // RunUntil dispatches events with time ≤ t, then sets the clock to t.
@@ -235,23 +284,38 @@ func (e *Engine) RunUntil(t Cycle) {
 // uses the budget as a livelock backstop: an event storm that never
 // advances time cannot pin a logical process inside one window forever.
 func (e *Engine) RunUntilBudget(t Cycle, budget uint64) uint64 {
-	var n uint64
-	for !e.stopped {
-		if budget > 0 && n >= budget {
-			return n
-		}
-		i := e.next(t)
-		if i == nilIdx {
-			break
-		}
-		fn := e.arena[i].fn
-		e.release(i)
-		fn()
-		n++
-		e.Executed++
+	n := e.drain(t, budget)
+	if !e.stopped && budget > 0 && n >= budget {
+		return n // budget spent: events up to t may remain
 	}
 	if e.now < t {
 		e.now = t
+	}
+	return n
+}
+
+// drain dispatches events with time ≤ horizon until none is left, Stop is
+// called, or limit events have run (0 = no limit), and returns how many
+// ran. Each event is counted under its tag and its slot recycled before
+// it runs.
+func (e *Engine) drain(horizon Cycle, limit uint64) uint64 {
+	var n uint64
+	for !e.stopped && (limit == 0 || n < limit) {
+		i := e.next(horizon)
+		if i == nilIdx {
+			break
+		}
+		ev := &e.arena[i]
+		fn, call, arg := ev.fn, ev.call, ev.arg
+		e.dispatched[ev.tag]++
+		e.release(i)
+		if call != nil {
+			call(arg)
+		} else {
+			fn()
+		}
+		n++
+		e.Executed++
 	}
 	return n
 }
