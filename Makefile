@@ -6,11 +6,16 @@ GO ?= go
 all: check
 
 .PHONY: check
-check: vet lint build race golden atlas-check isolate-check liveness-check fuzz-smoke pdes-smoke fabric-smoke
+check: vet lint build race golden claims atlas-check liveness-check fuzz-smoke fabric-smoke
 
+# vet also fails when any Go file is not gofmt-clean.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):"; echo "$$unformatted"; exit 1; \
+	fi
 
 # lint runs the repo's own analyzers (internal/lint): exhauststate,
 # determinism, threaddiscipline, cyclehygiene, observerpurity,
@@ -37,22 +42,6 @@ atlas:
 atlas-check:
 	$(GO) run ./cmd/protocov -mode all
 
-# isolate regenerates the ownership atlas (docs/isolation/ownership.json):
-# the static cross-tile isolation certificate proving the machine is
-# PDES-partitionable. Run it after any deliberate change to who owns
-# what, then review the diff.
-.PHONY: isolate
-isolate:
-	$(GO) run ./cmd/lpisolate -mode extract
-
-# isolate-check is the CI gate over the ownership atlas: the golden must
-# match the source byte-for-byte and the analysis must report zero
-# unannotated findings. Audit a deliberate crossing at the site with
-# `//lpisolate:boundary(reason)`; see README.
-.PHONY: isolate-check
-isolate-check:
-	$(GO) run ./cmd/lpisolate -mode check
-
 # liveness regenerates the protocol-liveness certificate
 # (docs/liveness/waitgraph.json): the waits-for atlas over the mesi and
 # denovo controllers with every liveness obligation (park wakeups,
@@ -72,12 +61,12 @@ liveness-check:
 	$(GO) run ./cmd/protolive -mode check
 
 # analyze runs the full static-analysis suite (the repo's own analyzers
-# plus the three checked-in certificates) with a per-analyzer wall-time
+# plus the two checked-in certificates) with a per-analyzer wall-time
 # summary — the one target behind the CI `analyze` job.
 .PHONY: analyze
 analyze:
 	@fail=0; \
-	for t in lint atlas-check isolate-check liveness-check; do \
+	for t in lint atlas-check liveness-check; do \
 		start=$$(date +%s); \
 		if $(MAKE) --no-print-directory $$t; then status=ok; else status=FAIL; fail=1; fi; \
 		end=$$(date +%s); \
@@ -156,28 +145,18 @@ golden-update:
 	$(GO) test ./internal/harness -run TestGoldenFigures -count=1 -update
 	$(GO) test ./internal/machine -run TestDeterminismGolden -count=1 -update
 
-# pdes-smoke is the seconds-scale PDES gate run inside `make check`: the
-# serial-vs-parallel fingerprint differential on two kernels at several
-# LP counts (the full battery is pdes-check).
-.PHONY: pdes-smoke
-pdes-smoke:
-	$(GO) test ./internal/pdes -run TestSmoke -count=1
-
-# pdes-check is the CI differential battery: every kernel x protocol
-# config serial vs parallel (plus LP grouping, chaos jitter, and the
-# engine edge cases) under the race detector, and the parallel golden
-# figure CSV check.
-.PHONY: pdes-check
-pdes-check:
-	$(GO) test -race ./internal/pdes ./internal/sim -count=1
-	$(GO) test -race ./internal/harness -run TestGoldenFiguresParallel -count=1
+# claims re-evaluates the paper's qualitative claims against the
+# checked-in paper-scale results (no simulation, ~1s) and fails when any
+# claim deviates or none is evaluated.
+.PHONY: claims
+claims:
+	$(GO) run ./cmd/report -csv results.csv -claims
 
 # Engine + handshake micro-benchmarks (compare against BENCH_baseline.json
 # on the same machine; see EXPERIMENTS.md, "Benchmark workflow").
 .PHONY: bench
 bench:
 	$(GO) test ./internal/sim ./internal/cpu -run '^$$' -bench 'BenchmarkEngine|BenchmarkHandshake' -benchmem
-	$(GO) test ./internal/pdes -run '^$$' -bench BenchmarkPDES -benchmem
 	$(GO) test . -run '^$$' -bench BenchmarkEngineThroughput -benchmem
 
 # bench-check re-runs every benchmark recorded in BENCH_baseline.json and
@@ -203,7 +182,6 @@ bench-smoke:
 .PHONY: bench-baseline
 bench-baseline:
 	$(GO) test ./internal/sim ./internal/cpu -run '^$$' -bench 'BenchmarkEngine|BenchmarkHandshake' -count=5
-	$(GO) test ./internal/pdes -run '^$$' -bench BenchmarkPDES -count=3
 	$(GO) test . -run '^$$' -bench BenchmarkEngineThroughput -count=5
 
 # fuzz-smoke is the scenario-fuzzer CI gate (~seconds): replay the

@@ -9,10 +9,6 @@
 // (see the comment field in BENCH_baseline.json): run the gate on the
 // machine that produced the baseline, or regenerate the baseline first
 // with `make bench-baseline`. Improvements never fail the gate.
-//
-// A noisy row can carry its own slack in the baseline's "tolerances"
-// object ({"pkg.BenchmarkName": 2.0}); the per-row value replaces the
-// -tolerance default for that row only.
 package main
 
 import (
@@ -32,24 +28,12 @@ type baseline struct {
 	Comment    string             `json:"comment"`
 	Date       string             `json:"date"`
 	Benchmarks map[string]float64 `json:"benchmarks"`
-	// Tolerances overrides the gate's default tolerance per row
-	// (fraction over baseline, 1.0 = +100%). Rows not listed use the
-	// -tolerance flag.
-	Tolerances map[string]float64 `json:"tolerances,omitempty"`
-}
-
-// tolFor returns the tolerance gating one baseline row.
-func (b *baseline) tolFor(key string, def float64) float64 {
-	if t, ok := b.Tolerances[key]; ok {
-		return t
-	}
-	return def
 }
 
 // gate compares measured ns/op against the baseline rows and returns
 // the per-row report lines plus the number of failed rows. Split from
 // main so the tolerance logic is testable without running benchmarks.
-func gate(base *baseline, defaultTol float64, measured map[string]float64) (lines []string, failed int) {
+func gate(base *baseline, tol float64, measured map[string]float64) (lines []string, failed int) {
 	keys := make([]string, 0, len(base.Benchmarks))
 	for k := range base.Benchmarks {
 		keys = append(keys, k)
@@ -63,18 +47,13 @@ func gate(base *baseline, defaultTol float64, measured map[string]float64) (line
 			failed++
 			continue
 		}
-		tol := base.tolFor(k, defaultTol)
 		ratio := got / want
 		status := "ok"
 		if got > want*(1+tol) {
 			status = "REGRESSED"
 			failed++
 		}
-		note := ""
-		if _, ok := base.Tolerances[k]; ok {
-			note = fmt.Sprintf(" [row tolerance +%.0f%%]", tol*100)
-		}
-		lines = append(lines, fmt.Sprintf("%-10s%-55s %.4g -> %.4g ns/op (%.2fx)%s", status, k, want, got, ratio, note))
+		lines = append(lines, fmt.Sprintf("%-10s%-55s %.4g -> %.4g ns/op (%.2fx)", status, k, want, got, ratio))
 	}
 	return lines, failed
 }
@@ -163,7 +142,7 @@ func main() {
 	if failed > 0 {
 		fatalf("%d benchmark(s) regressed beyond tolerance (re-anchor deliberately with make bench-baseline)", failed)
 	}
-	fmt.Printf("benchcheck: %d benchmarks within tolerance (default +%.0f%%)\n", len(base.Benchmarks), *tolerance*100)
+	fmt.Printf("benchcheck: %d benchmarks within tolerance (+%.0f%%)\n", len(base.Benchmarks), *tolerance*100)
 }
 
 func fatalf(format string, args ...any) {

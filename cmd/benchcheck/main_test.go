@@ -1,57 +1,9 @@
 package main
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestGatePerRowTolerance pins the per-row override semantics: a row
-// over the default tolerance passes when its baseline row carries a
-// looser "tolerances" entry, an unlisted row still gates at the
-// default, and a row beyond even its own override fails.
-func TestGatePerRowTolerance(t *testing.T) {
-	base := &baseline{
-		Benchmarks: map[string]float64{
-			"internal/sim.BenchmarkNoisy":   100, // own tolerance 3.0
-			"internal/sim.BenchmarkSteady":  100, // default tolerance
-			"internal/sim.BenchmarkRunaway": 100, // own tolerance 0.5, exceeded
-		},
-		Tolerances: map[string]float64{
-			"internal/sim.BenchmarkNoisy":   3.0,
-			"internal/sim.BenchmarkRunaway": 0.5,
-		},
-	}
-	measured := map[string]float64{
-		"internal/sim.BenchmarkNoisy":   350, // 3.5x: over default +100%, within +300%
-		"internal/sim.BenchmarkSteady":  150, // 1.5x: within default
-		"internal/sim.BenchmarkRunaway": 160, // 1.6x: over its +50% row override
-	}
-	lines, failed := gate(base, 1.0, measured)
-	if failed != 1 {
-		t.Fatalf("failed = %d, want exactly the runaway row\n%s", failed, strings.Join(lines, "\n"))
-	}
-	find := func(key string) string {
-		for _, l := range lines {
-			if strings.Contains(l, key) {
-				return l
-			}
-		}
-		t.Fatalf("no report line for %s", key)
-		return ""
-	}
-	if l := find("BenchmarkNoisy"); !strings.HasPrefix(l, "ok") || !strings.Contains(l, "+300%") {
-		t.Errorf("noisy row must pass under its +300%% override: %q", l)
-	}
-	if l := find("BenchmarkSteady"); !strings.HasPrefix(l, "ok") {
-		t.Errorf("steady row must pass at the default tolerance: %q", l)
-	}
-	if l := find("BenchmarkRunaway"); !strings.HasPrefix(l, "REGRESSED") {
-		t.Errorf("runaway row must fail beyond its own override: %q", l)
-	}
-}
-
-// TestGateDefaultTolerance pins the pre-override behavior for baselines
-// with no tolerances object at all.
+// TestGateDefaultTolerance pins the gate at the -tolerance fraction: a
+// row within it passes, a row beyond it or missing fails.
 func TestGateDefaultTolerance(t *testing.T) {
 	base := &baseline{Benchmarks: map[string]float64{"internal/sim.BenchmarkX": 100}}
 	if _, failed := gate(base, 1.0, map[string]float64{"internal/sim.BenchmarkX": 199}); failed != 0 {

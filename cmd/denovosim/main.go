@@ -28,7 +28,6 @@ func main() {
 		iters    = flag.Int("iters", 0, "override kernel iteration count")
 		scale    = flag.Int("scale", 1, "application workload divisor")
 		seed     = flag.Uint64("seed", 1, "deterministic RNG seed")
-		lps      = flag.Int("lps", 0, "partition the machine into this many logical processes run in parallel (0/1 = serial engine; results are bit-identical either way)")
 		traceN   = flag.Int("trace", 0, "log the first N network messages to stderr")
 		watchdog = flag.Uint64("watchdog-cycles", 100_000_000,
 			"abort with a diagnostic snapshot if no core retires an operation for this many cycles (0 disables)")
@@ -67,12 +66,8 @@ func main() {
 		p := paramsFor(n)
 		p.Seed = *seed
 		p.WatchdogCycles = denovosync.Cycle(*watchdog)
-		p.LPs = clampLPs(*lps, n)
 		m := denovosync.NewMachine(p, prot, denovosync.NewSpace())
 		if *traceN > 0 {
-			if p.LPs > 1 {
-				fatalf("-trace is serial-only; drop -lps")
-			}
 			m.EnableTrace(os.Stderr, denovosync.AllMsgClasses, *traceN)
 		}
 		rs, err := denovosync.RunKernel(k, m, denovosync.KernelConfig{Cores: n, Iters: *iters, EqChecks: -1})
@@ -92,12 +87,8 @@ func main() {
 		p := paramsFor(n)
 		p.Seed = *seed
 		p.WatchdogCycles = denovosync.Cycle(*watchdog)
-		p.LPs = clampLPs(*lps, n)
 		m := denovosync.NewMachine(p, prot, denovosync.NewSpace())
 		if *traceN > 0 {
-			if p.LPs > 1 {
-				fatalf("-trace is serial-only; drop -lps")
-			}
 			m.EnableTrace(os.Stderr, denovosync.AllMsgClasses, *traceN)
 		}
 		rs, err := denovosync.RunApp(a, m, *scale)
@@ -137,13 +128,4 @@ func paramsFor(cores int) denovosync.Params {
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "denovosim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// clampLPs bounds the -lps request to the machine's tile count (an LP
-// owns at least one tile), so one flag value drives mixed-size runs.
-func clampLPs(lps, cores int) int {
-	if lps > cores {
-		return cores
-	}
-	return lps
 }

@@ -161,10 +161,8 @@ func cmdRun(args []string) {
 		stopAfter   = fs.Int("stop-after", 0, "stop dispatching after N completed runs (0 = no limit)")
 		csvPath     = fs.String("csv", "", "write the merged figure CSV here on completion")
 		quiet       = fs.Bool("quiet", false, "suppress progress output")
-		lps         = fs.Int("lps", 0, "logical processes per machine (parallel PDES engine; 0/1 = serial, results bit-identical)")
 	)
 	fs.Parse(args)
-	exp.LPs = *lps
 	plan, err := pf.load()
 	if err != nil {
 		fatal(err)

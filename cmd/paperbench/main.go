@@ -35,7 +35,6 @@ import (
 
 	"denovosync"
 	"denovosync/internal/exp"
-	"denovosync/internal/harness"
 	"denovosync/internal/profiling"
 )
 
@@ -48,7 +47,6 @@ func main() {
 		csvPath     = flag.String("csv", "", "append machine-readable results to this file")
 		journalPath = flag.String("journal", "", "JSONL result journal (enables resume)")
 		workers     = flag.Int("workers", 0, "concurrent runs; 0 = GOMAXPROCS")
-		lpsFlag     = flag.Int("lps", 0, "logical processes per machine (parallel PDES engine; 0/1 = serial, results bit-identical)")
 		timeoutFlag = flag.Duration("timeout", 0, "per-run wall-clock limit; 0 = none")
 		retries     = flag.Int("retries", 0, "extra attempts after a failed run")
 		retryFailed = flag.Bool("retry-failed", false, "re-execute journaled failures")
@@ -60,6 +58,14 @@ func main() {
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file")
 	)
 	flag.Parse()
+
+	// Reject an unknown figure before anything starts: it would run
+	// nothing and exit 0. -ablate ignores -fig.
+	if *ablate == "" && (*fig < 3 || *fig > 7) && *fig != 0 {
+		fmt.Fprintf(os.Stderr, "paperbench: -fig %d: want 3, 4, 5, 6 or 7 (0 = all)\n", *fig)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *listConfig {
 		printTable1()
@@ -75,9 +81,6 @@ func main() {
 			fatalf("%v", err)
 		}
 	}()
-
-	exp.LPs = *lpsFlag
-	harness.DefaultLPs = *lpsFlag
 
 	opt := exp.Options{Scale: *scale}
 	var csv *os.File

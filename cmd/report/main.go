@@ -38,38 +38,45 @@ func main() {
 	path := flag.String("csv", "", "results file from paperbench -csv")
 	journalPath := flag.String("journal", "", "JSONL result journal from exp/paperbench/sweep")
 	outPath := flag.String("o", "", "output file (default stdout)")
-	claims := flag.Bool("claims", false, "evaluate the paper's qualitative claims instead of printing tables")
+	claims := flag.Bool("claims", false, "evaluate the paper's qualitative claims instead of printing tables; exit 1 unless every claim holds")
 	full := flag.Bool("full", false, "print full normalized component tables (like paperbench output)")
 	flag.Parse()
 
+	if err := run(*path, *journalPath, *outPath, *claims, *full); err != nil {
+		fatal(err)
+	}
+}
+
+// run loads the rows from the CSV or the journal and writes the report
+// the flags select to outPath (stdout when empty).
+func run(path, journalPath, outPath string, claims, full bool) (err error) {
 	var rows []row
-	var err error
 	switch {
-	case *journalPath != "" && *path != "":
-		fatal(fmt.Errorf("-csv and -journal are mutually exclusive"))
-	case *journalPath != "":
-		rows, err = rowsFromJournal(*journalPath)
+	case journalPath != "" && path != "":
+		return fmt.Errorf("-csv and -journal are mutually exclusive")
+	case journalPath != "":
+		rows, err = rowsFromJournal(journalPath)
 	default:
-		if *path == "" {
-			*path = "results.csv"
+		if path == "" {
+			path = "results.csv"
 		}
-		rows, err = rowsFromCSV(*path)
+		rows, err = rowsFromCSV(path)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	out := io.Writer(os.Stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
+	if outPath != "" {
+		f, err := os.Create(outPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// Checked close: a write error must fail the run, not truncate
 		// the tables silently.
 		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		out = f
@@ -85,27 +92,45 @@ func main() {
 		byFig[rw.figure] = append(byFig[rw.figure], rw)
 	}
 
-	if *full {
+	switch {
+	case full:
 		printFull(out, figures, byFig)
-		return
+	case claims:
+		err = checkClaims(out, figures, byFig)
+	default:
+		printTables(out, figures, byFig)
 	}
+	return err
+}
 
-	if *claims {
-		totalPass, totalDev := 0, 0
-		for _, fig := range figures {
-			f := rebuild(fig, byFig[fig])
-			if len(denovosync.ClaimsFor(f)) == 0 {
-				continue
-			}
-			fmt.Fprintf(out, "-- %s --\n", fig)
-			p, d := denovosync.CheckClaims(f, out)
-			totalPass += p
-			totalDev += d
+// checkClaims re-evaluates the paper's claims on every figure that has
+// any, writes one verdict line per claim and a total, and fails when a
+// claim deviates or when no claim was evaluated at all.
+func checkClaims(out io.Writer, figures []string, byFig map[string][]row) error {
+	pass, dev := 0, 0
+	for _, fig := range figures {
+		f := rebuild(fig, byFig[fig])
+		if len(denovosync.ClaimsFor(f)) == 0 {
+			continue
 		}
-		fmt.Fprintf(out, "\ntotal: %d claims hold, %d deviate\n", totalPass, totalDev)
-		return
+		fmt.Fprintf(out, "-- %s --\n", fig)
+		p, d := denovosync.CheckClaims(f, out)
+		pass += p
+		dev += d
 	}
+	fmt.Fprintf(out, "\ntotal: %d claims hold, %d deviate\n", pass, dev)
+	switch {
+	case dev > 0:
+		return fmt.Errorf("%d of %d claims deviate", dev, pass+dev)
+	case pass == 0:
+		return fmt.Errorf("no claim evaluated: no figure in the input carries claims")
+	}
+	return nil
+}
 
+// printTables writes one markdown table per figure: each workload's DS0
+// and DS execution time and traffic as ratios to MESI.
+func printTables(out io.Writer, figures []string, byFig map[string][]row) {
 	for _, fig := range figures {
 		rs := byFig[fig]
 		// Index MESI baselines.
@@ -174,6 +199,16 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// The columns the report reads from every `paperbench -csv` header:
+// four key columns, then the numeric columns in row order — execution
+// time and total traffic, the time components, the traffic classes.
+var (
+	keyCols   = []string{"figure", "workload", "protocol", "cores"}
+	timeCols  = []string{"time_non-synch", "time_compute", "time_memory_stall", "time_sw_backoff", "time_hw_backoff", "time_barrier"}
+	classCols = []string{"traffic_LD", "traffic_ST", "traffic_WB", "traffic_Inv", "traffic_SYNCH"}
+	numCols   = append(append([]string{"exec_cycles", "total_traffic"}, timeCols...), classCols...)
+)
+
 // rowsFromCSV parses the `paperbench -csv` format.
 func rowsFromCSV(path string) ([]row, error) {
 	f, err := os.Open(path)
@@ -181,44 +216,65 @@ func rowsFromCSV(path string) ([]row, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = -1
-	recs, err := r.ReadAll()
+	rows, err := parseCSV(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return rows, nil
+}
 
+// parseCSV reads header-led sections: a header line (first field
+// "figure", repeated per figure) followed by data rows of the same
+// width. A header lacking a column the report reads, a data row before
+// any header or of another width, and a cell that does not parse as a
+// number are errors naming the line.
+func parseCSV(in io.Reader) ([]row, error) {
+	r := csv.NewReader(in)
+	r.FieldsPerRecord = -1 // section widths are checked against their header
 	var rows []row
-	col := map[string]int{}
-	for _, rec := range recs {
-		if rec[0] == "figure" { // header (repeats per figure)
+	var col map[string]int
+	width := 0
+	for {
+		rec, err := r.Read()
+		if err == io.EOF {
+			return rows, nil
+		}
+		if err != nil {
+			return nil, err // a *csv.ParseError names its line
+		}
+		line, _ := r.FieldPos(0)
+		if rec[0] == "figure" {
+			col, width = map[string]int{}, len(rec)
 			for i, name := range rec {
 				col[name] = i
 			}
+			for _, name := range append(keyCols, numCols...) {
+				if _, ok := col[name]; !ok {
+					return nil, fmt.Errorf("line %d: header lacks column %q", line, name)
+				}
+			}
 			continue
 		}
-		exec, _ := strconv.ParseFloat(rec[col["exec_cycles"]], 64)
-		traffic, _ := strconv.ParseFloat(rec[col["total_traffic"]], 64)
-		cores, _ := strconv.Atoi(rec[col["cores"]])
-		rw := row{
-			figure:   rec[col["figure"]],
-			workload: rec[col["workload"]],
-			protocol: rec[col["protocol"]],
-			cores:    cores,
-			exec:     exec,
-			traffic:  traffic,
+		if col == nil {
+			return nil, fmt.Errorf("line %d: data row before any header", line)
 		}
-		for _, name := range []string{"time_non-synch", "time_compute", "time_memory_stall", "time_sw_backoff", "time_hw_backoff", "time_barrier"} {
-			v, _ := strconv.ParseFloat(rec[col[name]], 64)
-			rw.times = append(rw.times, v)
+		if len(rec) != width {
+			return nil, fmt.Errorf("line %d: %d fields, its header has %d", line, len(rec), width)
 		}
-		for _, name := range []string{"traffic_LD", "traffic_ST", "traffic_WB", "traffic_Inv", "traffic_SYNCH"} {
-			v, _ := strconv.ParseFloat(rec[col[name]], 64)
-			rw.classes = append(rw.classes, v)
+		rw := row{figure: rec[col["figure"]], workload: rec[col["workload"]], protocol: rec[col["protocol"]]}
+		if rw.cores, err = strconv.Atoi(rec[col["cores"]]); err != nil {
+			return nil, fmt.Errorf("line %d: column cores: %q is not an integer", line, rec[col["cores"]])
 		}
+		nums := make([]float64, len(numCols))
+		for i, name := range numCols {
+			if nums[i], err = strconv.ParseFloat(rec[col[name]], 64); err != nil {
+				return nil, fmt.Errorf("line %d: column %s: %q is not a number", line, name, rec[col[name]])
+			}
+		}
+		rw.exec, rw.traffic = nums[0], nums[1]
+		rw.times, rw.classes = nums[2:2+len(timeCols)], nums[2+len(timeCols):]
 		rows = append(rows, rw)
 	}
-	return rows, nil
 }
 
 // protoRank orders the paper's protocol columns (M, DS0, DS, variants).

@@ -23,8 +23,8 @@ const base proto.Addr = 0x1_0000
 // Lane address layout. Mid-run allocations (lock-free node carving) go
 // through per-thread lanes: disjoint bump arenas far above the shared
 // space, so no two threads ever touch the same allocator state and the
-// addresses a thread draws depend only on its own allocation sequence —
-// identical under serial and partitioned execution by construction.
+// addresses a thread draws depend only on its own allocation sequence,
+// not on how the threads interleave.
 const (
 	// laneBase is the first lane address; everything below it belongs to
 	// the shared wiring-time space. All lane addresses stay below 2^32:
@@ -141,7 +141,7 @@ func (s *Space) AllocPadded(region proto.RegionID) proto.Addr {
 // LaneAllocAligned reserves words words for thread laneID, starting on a
 // fresh cache line of the thread's private arena (see the lane layout
 // constants). It is the mid-run allocation path: safe to call from
-// workload code at any simulated time, in any partitioning.
+// workload code at any simulated time.
 func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto.Addr {
 	if laneID < 0 || laneID >= maxLanes {
 		panic("alloc: lane ID out of range")

@@ -107,7 +107,7 @@ func (p Policy) Delay(attempt int) time.Duration {
 	}
 	half := n / 2
 	span := uint64(n-half) + 1
-	j := splitmix64(p.Seed ^ uint64(attempt)) % span
+	j := splitmix64(p.Seed^uint64(attempt)) % span
 	return half + time.Duration(j)
 }
 

@@ -48,11 +48,6 @@ type Config struct {
 	Store *mem.Store
 	DRAM  *mem.DRAM
 
-	// EngAt, when non-nil, maps a node to the engine of the logical
-	// process owning it (partitioned machines); nil means Eng drives
-	// everything. Controllers resolve their engine once, at wiring time.
-	EngAt func(proto.NodeID) *sim.Engine
-
 	L1Size, L1Ways int
 
 	// Latencies (cycles), fitted to Table 1 (1 / 27 / 9).
@@ -82,14 +77,6 @@ type Config struct {
 	// the §2.2 claim that word-granularity state eliminates it. Must
 	// divide WordsPerLine.
 	UnitWords int
-}
-
-// engAt resolves the engine driving node.
-func (c *Config) engAt(node proto.NodeID) *sim.Engine {
-	if c.EngAt != nil {
-		return c.EngAt(node)
-	}
-	return c.Eng
 }
 
 // unitWords returns the effective granularity.

@@ -31,7 +31,7 @@ type wtxn struct {
 // DeNovoSync0 (cfg.Backoff = false) or DeNovoSync (true).
 type L1 struct {
 	cfg  *Config
-	eng  *sim.Engine // the engine driving this tile (cfg.engAt(node))
+	eng  *sim.Engine // cfg.Eng
 	id   proto.CoreID
 	node proto.NodeID
 	reg  *Registry
@@ -80,7 +80,6 @@ type L1 struct {
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
-	//lpisolate:boundary(Set*-injected coverage observer; read-only by contract, enforced by simlint observerpurity)
 	obs TransitionObserver
 
 	stats proto.L1Stats
@@ -91,7 +90,7 @@ type L1 struct {
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID, regions proto.RegionMapper) *L1 {
 	c := &L1{
 		cfg:       cfg,
-		eng:       cfg.engAt(node),
+		eng:       cfg.Eng,
 		id:        id,
 		node:      node,
 		cache:     cache.New(cfg.L1Size, cfg.L1Ways),

@@ -80,14 +80,13 @@ type Registry struct {
 	cfg   *Config
 	tiles int
 	// lines is sharded per home bank: lines[b] holds the lines whose L2
-	// bank is tile b, and is touched only by events running at that tile —
-	// so a partitioned machine needs no locking around it.
+	// bank is tile b, and is touched only by events running at that
+	// tile.
 	lines []map[proto.Addr]*regLine
 	l1s   []*L1
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
-	//lpisolate:boundary(Set*-injected coverage observer; read-only by contract, enforced by simlint observerpurity)
 	obs TransitionObserver
 }
 
@@ -164,7 +163,7 @@ func (r *Registry) withResident(word proto.Addr, class proto.MsgClass, fn func(*
 // only valid data, §7.1.1); otherwise it forwards to the registered core,
 // which answers directly (and stays registered — data reads do not steal).
 func (r *Registry) recvDataRead(word proto.Addr, from *L1) {
-	r.cfg.engAt(r.NodeFor(word)).Schedule(r.cfg.L2AccessLat, func() {
+	r.cfg.Eng.Schedule(r.cfg.L2AccessLat, func() {
 		r.withResident(word, proto.ClassLD, func(e *regLine) {
 			node := r.NodeFor(word)
 			st := e.ownerState(word, from)
@@ -214,7 +213,7 @@ func (r *Registry) recvDataRead(word proto.Addr, from *L1) {
 //atlas:unreachable denovo.Registry roSelf recvReg: the writeback-ack gate (recvWB) orders a re-registration after the evictor's writeback serialized, and that writeback either released the words or found them re-registered elsewhere — the registry never still names the re-registrant
 func (r *Registry) recvReg(word proto.Addr, kind proto.AccessKind, from *L1) {
 	class := regClass(kind)
-	r.cfg.engAt(r.NodeFor(word)).Schedule(r.cfg.L2AccessLat, func() {
+	r.cfg.Eng.Schedule(r.cfg.L2AccessLat, func() {
 		r.withResident(word, class, func(e *regLine) {
 			node := r.NodeFor(word)
 			st := e.ownerState(word, from)
@@ -259,7 +258,7 @@ func (r *Registry) recvReg(word proto.Addr, kind proto.AccessKind, from *L1) {
 // writeback lingers in the mesh while another core registers, evicts,
 // and has its own writeback release the word first.
 func (r *Registry) recvWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, from *L1) {
-	r.cfg.engAt(r.NodeFor(lineAddr)).Schedule(r.cfg.L2AccessLat, func() {
+	r.cfg.Eng.Schedule(r.cfg.L2AccessLat, func() {
 		// The writeback must serialize through the same queue as other
 		// requests: a WB arriving during the line's cold fetch would
 		// otherwise be processed before the registration it follows

@@ -152,16 +152,6 @@ func ParseProtocol(s string) (machine.Protocol, error) {
 	return 0, fmt.Errorf("exp: unknown protocol %q (want M, DS0 or DS)", s)
 }
 
-// LPs partitions every machine Execute builds into that many logical
-// processes (the -lps knob; <= 1 keeps the serial engine, larger values
-// clamp to the machine's tile count). Deliberately a package knob and
-// NOT a Run field: partitioning is result-invariant — the pdes
-// differential battery pins parallel runs to the serial fingerprints
-// bit-for-bit — so it must never enter Run.Key() or journal contents.
-// Chaos runs (KindChaos) build their machines through chaos.RunSpec and
-// stay serial regardless: the legacy RNG perturber is order-dependent.
-var LPs int
-
 // params builds the machine configuration: the Table 1 preset for the
 // run's core count plus any explicit overrides.
 func (r Run) params() (machine.Params, error) {
@@ -183,11 +173,6 @@ func (r Run) params() (machine.Params, error) {
 	p.Signatures = r.Signatures
 	p.LineGranularity = r.LineGranularity
 	p.LinkContention = r.LinkContention
-	if !r.LinkContention { // link contention is serial-only
-		if p.LPs = LPs; p.LPs > p.Cores {
-			p.LPs = p.Cores
-		}
-	}
 	return p, nil
 }
 

@@ -17,8 +17,8 @@ type fakeClock struct{ now time.Time }
 func newFakeClock() *fakeClock {
 	return &fakeClock{now: time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC)}
 }
-func (f *fakeClock) Now() time.Time            { return f.now }
-func (f *fakeClock) Advance(d time.Duration)   { f.now = f.now.Add(d) }
+func (f *fakeClock) Now() time.Time          { return f.now }
+func (f *fakeClock) Advance(d time.Duration) { f.now = f.now.Add(d) }
 
 func claim(t *testing.T, c *Coordinator, worker string) ClaimResponse {
 	t.Helper()

@@ -103,8 +103,8 @@ func workerCfg(t *testing.T, dir, id string, exec *countingExec) WorkerConfig {
 		// several workers).
 		EngineWorkers: 1,
 		IdleWait:      5 * time.Millisecond,
-		RPCBackoff:  backoff.Policy{Base: time.Millisecond, Max: 4 * time.Millisecond, Seed: 7},
-		Executor:    exec.exec,
+		RPCBackoff:    backoff.Policy{Base: time.Millisecond, Max: 4 * time.Millisecond, Seed: 7},
+		Executor:      exec.exec,
 	}
 }
 

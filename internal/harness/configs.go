@@ -20,8 +20,8 @@ type NamedConfig struct {
 }
 
 // Params returns the configuration's machine.Params with the harness
-// defaults (watchdog budget, LP partitioning) applied — the same values
-// ParamsFor produces for the configuration's core count.
+// defaults (the watchdog budget) applied — the same values ParamsFor
+// produces for the configuration's core count.
 func (c NamedConfig) Params() machine.Params {
 	return ParamsFor(c.Cores)
 }

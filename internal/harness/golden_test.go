@@ -15,14 +15,14 @@ import (
 // behavior-preserving must pass WITHOUT regenerating.
 var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
 
-// goldenFigures is the reduced-scale reproduction set: Figures 3-6 at 16
-// cores plus Figure 7 (its own per-app machine sizes), all at Scale 10.
-func goldenFigures() []struct {
-	file string
-	run  func() (*Figure, error)
-} {
+// TestGoldenFigures pins the exact CSV output of the reduced-scale paper
+// figures: Figures 3-6 at 16 cores plus Figure 7 (its own per-app machine
+// sizes), all at Scale 10. Any engine or protocol change that alters
+// simulated timing, traffic, or event ordering shows up here as a
+// byte-level diff.
+func TestGoldenFigures(t *testing.T) {
 	o := Options{Scale: 10}
-	return []struct {
+	for _, g := range []struct {
 		file string
 		run  func() (*Figure, error)
 	}{
@@ -31,14 +31,7 @@ func goldenFigures() []struct {
 		{"fig5_16c_scale10.csv", func() (*Figure, error) { return Fig5(16, o) }},
 		{"fig6_16c_scale10.csv", func() (*Figure, error) { return Fig6(16, o) }},
 		{"fig7_scale10.csv", func() (*Figure, error) { return Fig7(o) }},
-	}
-}
-
-// TestGoldenFigures pins the exact CSV output of the reduced-scale paper
-// figures. Any engine or protocol change that alters simulated timing,
-// traffic, or event ordering shows up here as a byte-level diff.
-func TestGoldenFigures(t *testing.T) {
-	for _, g := range goldenFigures() {
+	} {
 		g := g
 		t.Run(g.file, func(t *testing.T) {
 			t.Parallel()
@@ -64,41 +57,6 @@ func TestGoldenFigures(t *testing.T) {
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("%s diverged from golden.\n%s", g.file, firstDiff(want, buf.Bytes()))
-			}
-		})
-	}
-}
-
-// TestGoldenFiguresParallel: the same reduced-scale figures rendered by a
-// fully-partitioned machine (DefaultLPs = 16, one LP per tile at 16
-// cores, clamped per machine size) must produce the serial golden CSVs
-// byte-for-byte — the harness-level leg of the pdes differential battery.
-// Top-level tests run sequentially and parallel subtests finish before
-// their parent returns, so mutating the package knob here cannot leak
-// into TestGoldenFigures.
-func TestGoldenFiguresParallel(t *testing.T) {
-	figs := goldenFigures()
-	if testing.Short() {
-		figs = figs[:1] // fig3 only; CI runs the full set under -race
-	}
-	DefaultLPs = 16
-	t.Cleanup(func() { DefaultLPs = 0 })
-	for _, g := range figs {
-		g := g
-		t.Run(g.file, func(t *testing.T) {
-			t.Parallel()
-			f, err := g.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			f.CSV(&buf)
-			want, err := os.ReadFile(filepath.Join("testdata", g.file))
-			if err != nil {
-				t.Fatalf("missing golden (run TestGoldenFigures with -update first): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("parallel %s diverged from serial golden.\n%s", g.file, firstDiff(want, buf.Bytes()))
 			}
 		})
 	}

@@ -55,17 +55,8 @@ type Figure struct {
 // Set to 0 to disable.
 var DefaultWatchdog sim.Cycle = 100_000_000
 
-// DefaultLPs partitions every machine the harness builds into this many
-// logical processes run on concurrent goroutines (machine.Params.LPs);
-// <= 1 keeps the serial engine. A package knob for the same reason as
-// DefaultWatchdog: figures construct machines deep inside their run
-// functions. The partition count is guaranteed unobservable in results —
-// the pdes differential battery pins parallel runs to the serial
-// fingerprints and golden CSVs bit-for-bit.
-var DefaultLPs int
-
 // ParamsFor returns the Table 1 configuration for a core count, with the
-// harness's watchdog budget and LP partitioning applied.
+// harness's watchdog budget applied.
 func ParamsFor(cores int) machine.Params {
 	var p machine.Params
 	switch cores {
@@ -77,11 +68,6 @@ func ParamsFor(cores int) machine.Params {
 		panic(fmt.Sprintf("harness: unsupported core count %d", cores))
 	}
 	p.WatchdogCycles = DefaultWatchdog
-	if p.LPs = DefaultLPs; p.LPs > cores {
-		// An LP owns at least one tile; clamp so one -lps value can
-		// drive mixed-size runs (e.g. Figure 7's 16- and 64-core apps).
-		p.LPs = cores
-	}
 	return p
 }
 

@@ -92,10 +92,10 @@ func (ex *extractor) finalize() []*Transition {
 			}
 			out = append(out, &Transition{
 				Controller: t.Controller, State: s, Event: t.Event,
-				Next: append([]string(nil), t.Next...),
-				Sends: append([]string(nil), t.Sends...),
+				Next:    append([]string(nil), t.Next...),
+				Sends:   append([]string(nil), t.Sends...),
 				Actions: append([]string(nil), t.Actions...),
-				Pos: t.Pos,
+				Pos:     t.Pos,
 			})
 		}
 	}

@@ -16,18 +16,13 @@ import (
 // plus the line below it. (A trailing directive deliberately does NOT
 // bless the next line — it used to, and one suppression silently
 // swallowed unrelated findings on the following statement.) The
-// suppression filter (//simlint:allow) and the isolation prover's
-// audited-crossing annotation (//lpisolate:boundary) both parse through
-// this helper so the scoping bug cannot regress in one and not the
-// other.
+// suppression filter (//simlint:allow) and the liveness certifier's
+// audited-obligation escape (//protolive:assume) both parse through this
+// helper so the scoping bug cannot regress in one and not the other.
 
 // allowRE matches a suppression directive. The reason after the colon is
 // mandatory: an unjustified suppression is itself a finding.
 var allowRE = regexp.MustCompile(`//simlint:allow\s+([a-z]+)\s*:\s*(\S.*)`)
-
-// BoundaryRE matches an lpisolate audited-crossing annotation:
-// //lpisolate:boundary(reason). The reason is mandatory.
-var BoundaryRE = regexp.MustCompile(`//lpisolate:boundary\((\S[^)]*)\)`)
 
 // AssumeRE matches a protolive audited-obligation escape:
 // //protolive:assume(reason). The reason is mandatory.
@@ -72,16 +67,6 @@ func AllowDirective(text, analyzer string) (reason string, ok bool) {
 	return strings.TrimSpace(m[2]), true
 }
 
-// BoundaryDirective parses one //lpisolate:boundary(reason) comment,
-// returning the mandatory reason.
-func BoundaryDirective(text string) (reason string, ok bool) {
-	m := BoundaryRE.FindStringSubmatch(text)
-	if m == nil || strings.TrimSpace(m[1]) == "" {
-		return "", false
-	}
-	return strings.TrimSpace(m[1]), true
-}
-
 // AssumeDirective parses one //protolive:assume(reason) comment,
 // returning the mandatory reason.
 func AssumeDirective(text string) (reason string, ok bool) {
@@ -98,13 +83,12 @@ func AssumeDirective(text string) (reason string, ok bool) {
 // shape a build-failing diagnostic (wired into the driver, so `make
 // lint` and the simlint CI step fail on it). The attempt patterns are
 // deliberately stricter than free prose: an identifier followed by a
-// colon for //simlint:allow, an open parenthesis for the
-// reason-in-parens directives — documentation like
+// colon for //simlint:allow, an open parenthesis for
+// //protolive:assume — documentation like
 // "`//simlint:allow <analyzer>: <reason>`" does not match.
 var (
 	allowAttemptRE  = regexp.MustCompile(`//simlint:allow\s+([A-Za-z][A-Za-z0-9]*)\s*:`)
 	assumeAttemptRE = regexp.MustCompile(`//protolive:assume\(`)
-	boundaryAttRE   = regexp.MustCompile(`//lpisolate:boundary\(`)
 )
 
 // CheckDirectives validates every lint directive comment in files against
@@ -138,12 +122,6 @@ func CheckDirectives(files []*ast.File, known func(name string) bool) []analysis
 				if assumeAttemptRE.MatchString(text) {
 					if _, ok := AssumeDirective(text); !ok {
 						report(c.Pos(), "//protolive:assume is missing its mandatory reason — the escape audits nothing")
-					}
-					continue
-				}
-				if boundaryAttRE.MatchString(text) {
-					if _, ok := BoundaryDirective(text); !ok {
-						report(c.Pos(), "//lpisolate:boundary is missing its mandatory reason — the annotation audits nothing")
 					}
 				}
 			}

@@ -8,9 +8,9 @@ import (
 	"denovosync/internal/lint/analysis"
 )
 
-// TestBlessedLinesBoundaryScoping pins the shared directive-scoping rule
-// for the lpisolate boundary annotation: a trailing
-// //lpisolate:boundary(...) covers only its own line, a standalone one
+// TestBlessedLinesBoundaryScoping pins where a directive's scope ends,
+// for a directive that carries its reason in parentheses: a trailing
+// //protolive:assume(...) covers only its own line, a standalone one
 // covers its own line and the next — exactly the //simlint:allow rule,
 // because both parse through the same helper. (The PR 5 scoping bug —
 // a trailing directive also blessing the NEXT line — must stay fixed
@@ -20,14 +20,14 @@ func TestBlessedLinesBoundaryScoping(t *testing.T) {
 		"a.go": `package p
 
 type S struct {
-	//lpisolate:boundary(standalone: blesses the field below)
+	//protolive:assume(standalone: blesses the field below)
 	A int
-	B int //lpisolate:boundary(trailing: blesses only this line)
+	B int //protolive:assume(trailing: blesses only this line)
 	C int
 }
 `,
 	})
-	blessed := lint.BlessedLines(fset, files, lint.BoundaryDirective)
+	blessed := lint.BlessedLines(fset, files, lint.AssumeDirective)
 	want := map[int]string{
 		4: "standalone: blesses the field below",
 		5: "standalone: blesses the field below",
@@ -47,25 +47,8 @@ type S struct {
 	}
 }
 
-func TestBoundaryDirectiveRequiresReason(t *testing.T) {
-	for _, text := range []string{
-		"//lpisolate:boundary()",
-		"//lpisolate:boundary( )",
-		"//lpisolate:boundary",
-		"// an ordinary comment",
-	} {
-		if _, ok := lint.BoundaryDirective(text); ok {
-			t.Errorf("%q parsed as a valid boundary directive", text)
-		}
-	}
-	reason, ok := lint.BoundaryDirective("//lpisolate:boundary(committed image: PDES port shards by home tile)")
-	if !ok || reason != "committed image: PDES port shards by home tile" {
-		t.Errorf("valid directive parsed as (%q, %v)", reason, ok)
-	}
-}
-
-// TestAssumeDirectiveRequiresReason pins the protolive escape syntax to
-// the boundary rules: parenthesized, reason mandatory.
+// TestAssumeDirectiveRequiresReason pins the protolive escape syntax:
+// parenthesized, reason mandatory.
 func TestAssumeDirectiveRequiresReason(t *testing.T) {
 	for _, text := range []string{
 		"//protolive:assume()",
@@ -99,19 +82,16 @@ func f() {
 	_ = 5
 	//protolive:assume(justified: fixture)
 	_ = 6
-	//lpisolate:boundary()
-	_ = 7
 }
 `,
 	})
 	known := func(name string) bool { return lint.ByName(name) != nil }
 	diags := lint.CheckDirectives(files, known)
 	wantLines := map[int]string{
-		4:  "unknown analyzer",
-		6:  "must be lowercase",
-		7:  "missing its mandatory reason",
-		8:  "//protolive:assume is missing",
-		12: "//lpisolate:boundary is missing",
+		4: "unknown analyzer",
+		6: "must be lowercase",
+		7: "missing its mandatory reason",
+		8: "//protolive:assume is missing",
 	}
 	if len(diags) != len(wantLines) {
 		for _, d := range diags {
@@ -139,10 +119,9 @@ func TestCheckDirectivesIgnoresProse(t *testing.T) {
 		"a.go": `package p
 
 // Suppress a finding at the site with
-// "//simlint:allow <analyzer>: <reason>"; audit a crossing with
-// //lpisolate:boundary(reason) and an obligation with
+// "//simlint:allow <analyzer>: <reason>"; audit an obligation with
 // //protolive:assume(reason). The //simlint:allow suppression filter
-// shares its scoping rule with both.
+// shares its scoping rule with it.
 func f() {}
 `,
 	})

@@ -125,9 +125,8 @@ func RunAll(moduleDir string, analyzers []*analysis.Analyzer) ([]Finding, error)
 	for _, rel := range rels {
 		// Directive hygiene runs on every package — including ones outside
 		// all analyzer scopes — so a //simlint:allow naming an unknown
-		// analyzer (or a reason-less //protolive:assume or
-		// //lpisolate:boundary) is a build-failing diagnostic instead of a
-		// silent no-op. Comment scanning needs parsing only, not types, and
+		// analyzer (or a reason-less //protolive:assume) is a build-failing
+		// diagnostic instead of a silent no-op. Comment scanning needs parsing only, not types, and
 		// covers _test.go files the typed load below excludes.
 		dfset, dfiles, err := parseDirComments(filepath.Join(moduleDir, filepath.FromSlash(rel)))
 		if err != nil {

@@ -74,11 +74,6 @@ var scopes = map[string][]string{
 	// and corpus contents are a pure function of seed + journal), so the
 	// same rules apply — seeded generators only, no wall clock, no
 	// order-sensitive map ranges without a per-site justification.
-	// internal/lint/lpisolate is in the determinism scope for the same
-	// reason the atlas is golden-gated: the ownership atlas it emits is
-	// checked-in JSON compared byte-for-byte in CI, so its extraction
-	// must be a pure function of the source tree — sorted iterations
-	// only, no wall clock.
 	// internal/backoff is the one piece of the distributed fabric inside
 	// the determinism scope: its retry schedule is a pure seeded function
 	// (the same (seed, key, attempt) always yields the same delay, which
@@ -90,8 +85,7 @@ var scopes = map[string][]string{
 	Determinism.Name: {
 		"internal/sim", "internal/cache", "internal/mesi", "internal/denovo",
 		"internal/noc", "internal/mem", "internal/cpu", "internal/stats",
-		"internal/chaos", "internal/fuzz", "internal/lint/lpisolate",
-		"internal/backoff",
+		"internal/chaos", "internal/fuzz", "internal/backoff",
 	},
 	CycleHygiene.Name: {
 		"internal/sim", "internal/cache", "internal/mesi", "internal/denovo",

@@ -52,8 +52,8 @@ func ruleUnansweredRequest(g *Graph, p *pkgModel, in *inclusion) {
 					pos = m.decl.Body.Rbrace
 				}
 				g.Findings = append(g.Findings, Finding{
-					Rule: "unanswered-request",
-					Pos:  p.posString(pos),
+					Rule:    "unanswered-request",
+					Pos:     p.posString(pos),
 					Message: fmt.Sprintf("request %s consumed by %s is dropped on this path: not answered, parked, or fail-stopped", obj.Name(), m.id()),
 				})
 			}

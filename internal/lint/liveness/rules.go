@@ -301,8 +301,8 @@ func ruleUnguardedPark(g *Graph, p *pkgModel, in *inclusion) {
 			ob.Status = "violated"
 			for _, pk := range live {
 				g.Findings = append(g.Findings, Finding{
-					Rule: "unguarded-park",
-					Pos:  p.posString(pk.pos),
+					Rule:    "unguarded-park",
+					Pos:     p.posString(pk.pos),
 					Message: fmt.Sprintf("park on %s has no reachable discharge arm: requests queued here are never woken", c.id),
 				})
 			}
@@ -361,8 +361,8 @@ func ruleMutualPark(g *Graph, p *pkgModel, in *inclusion) {
 			} else {
 				ob.Status = "violated"
 				g.Findings = append(g.Findings, Finding{
-					Rule: "mutual-park",
-					Pos:  p.posString(pk.pos),
+					Rule:    "mutual-park",
+					Pos:     p.posString(pk.pos),
 					Message: fmt.Sprintf("%s parks on %s while its send path (%s) answers peer parks: mutual park can deadlock without a serialization-order guard", m.id(), pk.chain.id, hazard),
 				})
 			}
@@ -485,8 +485,8 @@ func ruleBackoffClamped(g *Graph, p *pkgModel, in *inclusion) {
 			} else {
 				ob.Status = "violated"
 				g.Findings = append(g.Findings, Finding{
-					Rule: "backoff-clamped",
-					Pos:  p.posString(gr.pos),
+					Rule:    "backoff-clamped",
+					Pos:     p.posString(gr.pos),
 					Message: fmt.Sprintf("backoff counter %s grows without a mask or clamp: unbounded growth defeats the bounded-backoff guarantee", gr.field.Name()),
 				})
 			}
@@ -560,8 +560,8 @@ func ruleClassCycle(g *Graph, p *pkgModel, in *inclusion) {
 				}
 			}
 			g.Findings = append(g.Findings, Finding{
-				Rule: "class-cycle",
-				Pos:  pos,
+				Rule:    "class-cycle",
+				Pos:     pos,
 				Message: fmt.Sprintf("class %s dependency cycle through %s: no finite-queue discharge bounds it", cls, strings.Join(scc.nodes, " -> ")),
 			})
 		}
@@ -705,8 +705,8 @@ func ruleStaleRetire(g *Graph, p *pkgModel, in *inclusion) {
 			} else {
 				ob.Status = "violated"
 				g.Findings = append(g.Findings, Finding{
-					Rule: "stale-retire",
-					Pos:  p.posString(ifs.Pos()),
+					Rule:    "stale-retire",
+					Pos:     p.posString(ifs.Pos()),
 					Message: fmt.Sprintf("%s retires ownership on sender identity without a grant-serial check: a stale message can revoke a newer grant", m.id()),
 				})
 			}

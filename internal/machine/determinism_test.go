@@ -56,7 +56,7 @@ func runDetJob(t *testing.T, kernel string, prot machine.Protocol, seed uint64) 
 }
 
 // fingerprint renders a run's simulated quantities canonically (see
-// stats.Fingerprint — shared with the pdes differential battery).
+// stats.Fingerprint).
 func fingerprint(rs *stats.RunStats) string { return stats.Fingerprint(rs) }
 
 // TestDeterminismReplay: the same Params.Seed must yield bitwise-identical

@@ -14,7 +14,6 @@ import (
 	"denovosync/internal/mem"
 	"denovosync/internal/mesi"
 	"denovosync/internal/noc"
-	"denovosync/internal/pdes"
 	"denovosync/internal/proto"
 	"denovosync/internal/sim"
 	"denovosync/internal/stats"
@@ -99,21 +98,6 @@ type Params struct {
 	// structured diagnostic snapshot (*WatchdogError) instead of spinning
 	// to the event limit. 0 disables.
 	WatchdogCycles sim.Cycle
-
-	// LPs partitions the machine into that many logical processes run in
-	// parallel under the conservative window scheduler (internal/pdes).
-	// 0 or 1 is the serial machine. Results are bit-identical across all
-	// values (the pdes differential battery enforces it); LinkContention
-	// and message tracing are serial-only and refuse LPs > 1.
-	LPs int
-}
-
-// lps returns the effective logical-process count.
-func (p Params) lps() int {
-	if p.LPs < 1 {
-		return 1
-	}
-	return p.LPs
 }
 
 // Params16 returns the 16-core configuration of Table 1.
@@ -158,77 +142,12 @@ type Machine struct {
 	MESIDir  *mesi.Directory
 	Registry *denovo.Registry
 
-	// Parallel-mode state (nil/zero on serial machines): the partition,
-	// one engine per LP (engines[0] == Eng), the mailbox exchange wired
-	// into the network, and the window scheduler.
-	part    pdes.Partition
-	engines []*sim.Engine
-	exch    *pdes.Exchange
-	sched   *pdes.Scheduler
-
 	rng         *sim.RNG
 	watchdogErr *WatchdogError
 }
 
-// Parallel reports whether the machine runs partitioned (LPs > 1).
-func (m *Machine) Parallel() bool { return m.engines != nil }
-
-// engFor returns the engine driving node's events.
-func (m *Machine) engFor(node proto.NodeID) *sim.Engine {
-	if m.engines == nil {
-		return m.Eng
-	}
-	return m.engines[m.part.LPOf(node)]
-}
-
-// simNow returns the latest cycle any engine has reached.
-func (m *Machine) simNow() sim.Cycle {
-	if m.engines == nil {
-		return m.Eng.Now()
-	}
-	var t sim.Cycle
-	for _, e := range m.engines {
-		if n := e.Now(); n > t {
-			t = n
-		}
-	}
-	return t
-}
-
-// totalEvents returns events dispatched across all engines, including
-// replicated watchdog ticks (serial ticks are real engine events; the
-// parallel coordinator runs them at barriers and counts them here).
-func (m *Machine) totalEvents() uint64 {
-	if m.engines == nil {
-		return m.Eng.Executed
-	}
-	var t uint64
-	for _, e := range m.engines {
-		t += e.Executed
-	}
-	if m.sched != nil {
-		t += m.sched.Ticks
-	}
-	return t
-}
-
-// pendingEvents returns queued events across all engines.
-func (m *Machine) pendingEvents() int {
-	if m.engines == nil {
-		return m.Eng.Pending()
-	}
-	n := 0
-	for _, e := range m.engines {
-		n += e.Pending()
-	}
-	return n
-}
-
 // finishedCount polls how many cores have retired their thread's final
-// operation. The machine deliberately keeps no "finished" counter of its
-// own: a shared counter bumped from every core's service loop is exactly
-// the cross-tile mutation the isolation prover forbids, while polling
-// each core's own flag is a read-only sweep any PDES coordinator can do.
+// operation, reading each core's own flag.
 func (m *Machine) finishedCount() int {
 	n := 0
 	for _, core := range m.Cores {
@@ -245,71 +164,25 @@ func New(p Params, prot Protocol, space *alloc.Space) *Machine {
 	if p.Cores != p.MeshW*p.MeshH {
 		panic("machine: core count does not match mesh")
 	}
-	lps := p.lps()
-	if lps > 1 && p.LinkContention {
-		panic("machine: link contention is serial-only (set LPs <= 1)")
-	}
 	mesh := noc.Mesh{W: p.MeshW, H: p.MeshH}
-
-	// Engines first: every component resolves its driving engine at
-	// wiring time. Serial machines get one; partitioned machines one per
-	// logical process, with engines[0] doubling as the nominal m.Eng.
-	var part pdes.Partition
-	var engines []*sim.Engine
 	eng := sim.NewEngine()
-	if lps > 1 {
-		var err error
-		part, err = pdes.NewPartition(mesh, lps)
-		if err != nil {
-			panic(err)
-		}
-		engines = make([]*sim.Engine, lps)
-		engines[0] = eng
-		for i := 1; i < lps; i++ {
-			engines[i] = sim.NewEngine()
-		}
-	}
-	engAt := func(node proto.NodeID) *sim.Engine {
-		if engines == nil {
-			return eng
-		}
-		return engines[part.LPOf(node)]
-	}
-
 	net := noc.New(eng, mesh, p.PerHopNum, p.PerHopDen)
 	if p.LinkContention {
 		net.EnableContention(1)
 	}
 	store := mem.NewStore()
 	dram := mem.NewDRAM(eng, net, p.DRAMLat)
-	var exch *pdes.Exchange
-	if lps > 1 {
-		nodeEngines := make([]*sim.Engine, mesh.Tiles()+noc.NumMemCtrl)
-		for i := range nodeEngines {
-			nodeEngines[i] = engAt(proto.NodeID(i))
-		}
-		net.SetEngines(nodeEngines)
-		exch = pdes.NewExchange(part, engines)
-		net.SetExchange(exch)
-		store.Share()
-		var mcEngines [noc.NumMemCtrl]*sim.Engine
-		for k := 0; k < noc.NumMemCtrl; k++ {
-			mcEngines[k] = engAt(mesh.MemNode(k))
-		}
-		dram.SetEngines(mcEngines)
-	}
 
 	m := &Machine{
 		Params: p, Protocol: prot,
 		Eng: eng, Net: net, Store: store, DRAM: dram, Space: space,
-		part: part, engines: engines, exch: exch,
 		rng: sim.NewRNG(p.Seed),
 	}
 
 	switch prot {
 	case MESI:
 		cfg := &mesi.Config{
-			Eng: eng, Net: net, Store: store, DRAM: dram, EngAt: engAtOrNil(engines, engAt),
+			Eng: eng, Net: net, Store: store, DRAM: dram,
 			L1Size: p.L1Size, L1Ways: p.L1Ways,
 			L1AccessLat: p.L1AccessLat, L2AccessLat: p.L2AccessLat, RemoteL1Lat: p.RemoteL1Lat,
 		}
@@ -322,7 +195,7 @@ func New(p Params, prot Protocol, space *alloc.Space) *Machine {
 		}
 	case DeNovoSync0, DeNovoSync:
 		cfg := &denovo.Config{
-			Eng: eng, Net: net, Store: store, DRAM: dram, EngAt: engAtOrNil(engines, engAt),
+			Eng: eng, Net: net, Store: store, DRAM: dram,
 			L1Size: p.L1Size, L1Ways: p.L1Ways,
 			L1AccessLat: p.L1AccessLat, L2AccessLat: p.L2AccessLat, RemoteL1Lat: p.RemoteL1Lat,
 			Backoff:     prot == DeNovoSync,
@@ -350,22 +223,10 @@ func New(p Params, prot Protocol, space *alloc.Space) *Machine {
 	return m
 }
 
-// engAtOrNil passes the resolver through only for partitioned machines,
-// so serial configs keep the nil fast path.
-func engAtOrNil(engines []*sim.Engine, engAt func(proto.NodeID) *sim.Engine) func(proto.NodeID) *sim.Engine {
-	if engines == nil {
-		return nil
-	}
-	return engAt
-}
-
 // EnableTrace logs every network message to w (one line per message:
 // cycle, class, route, flits). class = proto.NumMsgClasses traces all
 // classes; limit > 0 caps the number of logged events.
 func (m *Machine) EnableTrace(w io.Writer, class proto.MsgClass, limit int) *trace.Tracer {
-	if m.Parallel() {
-		panic("machine: message tracing is serial-only (set LPs <= 1)")
-	}
 	tr := trace.New(w, class, limit)
 	m.Net.SetTrace(tr.Message)
 	return tr
@@ -388,12 +249,11 @@ func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.Run
 		panic("machine: Run called twice")
 	}
 	for i := 0; i < m.Params.Cores; i++ {
-		core := cpu.NewCore(m.engFor(proto.NodeID(i)), proto.CoreID(i), m.L1s[i], nil)
+		core := cpu.NewCore(m.Eng, proto.CoreID(i), m.L1s[i], nil)
 		m.Cores = append(m.Cores, core)
 		core.Start()
 	}
-	// Thread RNG forks happen here, host-serially in core order, so the
-	// per-thread streams are identical in every partitioning.
+	// Thread RNG forks happen here, host-serially in core order.
 	for i, core := range m.Cores {
 		th := cpu.NewThread(core, m.Space, m.rng.Fork())
 		fn := body(i)
@@ -405,26 +265,18 @@ func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.Run
 	}
 	const eventLimit = 4_000_000_000
 	wallStart := time.Now()
-	var runErr error
-	if m.Parallel() {
-		runErr = m.runParallel(eventLimit)
-	} else {
-		if m.Params.WatchdogCycles > 0 {
-			m.armWatchdog()
-		}
-		m.Eng.Run(eventLimit)
+	if m.Params.WatchdogCycles > 0 {
+		m.armWatchdog()
 	}
+	m.Eng.Run(eventLimit)
 	wall := time.Since(wallStart)
 
 	if m.watchdogErr != nil {
 		return nil, m.watchdogErr
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
 	if finished := m.finishedCount(); finished != m.Params.Cores {
 		return nil, fmt.Errorf("machine: deadlock or livelock: %d/%d threads finished after %d events",
-			finished, m.Params.Cores, m.totalEvents())
+			finished, m.Params.Cores, m.Eng.Executed)
 	}
 
 	rs := &stats.RunStats{
@@ -432,7 +284,7 @@ func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.Run
 		Workload: name,
 		Cores:    m.Params.Cores,
 		Traffic:  m.Net.Traffic(),
-		Events:   m.totalEvents(),
+		Events:   m.Eng.Executed,
 	}
 	for _, core := range m.Cores {
 		rs.PerCore = append(rs.PerCore, core.Time())

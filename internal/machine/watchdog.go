@@ -110,9 +110,9 @@ func (m *Machine) totalRetired() uint64 {
 func (m *Machine) snapshot() WatchdogSnapshot {
 	s := WatchdogSnapshot{
 		Protocol:      m.Protocol.String(),
-		Cycle:         uint64(m.simNow()),
-		Events:        m.totalEvents(),
-		PendingEvents: m.pendingEvents(),
+		Cycle:         uint64(m.Eng.Now()),
+		Events:        m.Eng.Executed,
+		PendingEvents: m.Eng.Pending(),
 		Finished:      m.finishedCount(),
 		Cores:         m.Params.Cores,
 	}

@@ -9,90 +9,33 @@
 package mem
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"denovosync/internal/noc"
 	"denovosync/internal/proto"
 	"denovosync/internal/sim"
 )
 
-// Store is the word-granularity committed-value memory image.
-//
-// Every tile's L2 bank reads and commits through the one shared image, so
-// the isolation prover cannot slice it per tile; the crossing is audited
-// instead. Writes happen only at protocol commit points: the protocol's
-// single-writer discipline plus the message chains between commit points
-// give every (write, later read) pair of the same word a happens-before
-// edge, so the image needs no per-word locking. Serial machines use a
-// plain map; partitioned machines switch to a lock-free per-line page
-// table (Share) whose only synchronization is page creation — the values
-// and their visibility order are identical in both modes.
-//
-//lpisolate:boundary(committed-value ground truth: shared by construction, sharded per line under PDES with message-chain ordering)
+// Store is the word-granularity committed-value memory image. Every
+// tile's L2 bank reads and commits through it, and writes happen only at
+// protocol commit points.
 type Store struct {
 	words map[proto.Addr]uint64
-
-	// shared, when non-nil, replaces words: one page per cache line,
-	// created on first touch through a sync.Map. Word slots are accessed
-	// atomically: almost every conflicting pair is already ordered by a
-	// protocol message chain, but a line-granularity fill may copy
-	// neighboring words of the same line while their registrant commits
-	// them (false sharing the protocol permits — the filler never reads
-	// those values architecturally). Atomic slots make that benign race
-	// well-defined without changing any value either mode observes.
-	shared *sync.Map // proto.Addr (line) -> *[proto.WordsPerLine]uint64
 }
 
 // NewStore returns an empty (all-zero) memory image.
 func NewStore() *Store { return &Store{words: make(map[proto.Addr]uint64)} }
 
-// Share switches the image to the concurrent page-table representation
-// (wiring-time only, before any values are written). Values and semantics
-// are identical to the serial map; only the container changes.
-func (s *Store) Share() {
-	if len(s.words) > 0 {
-		panic("mem: Share after writes")
-	}
-	s.shared = &sync.Map{}
-}
-
-// page returns the line's value page, creating it on first touch.
-func (s *Store) page(line proto.Addr) *[proto.WordsPerLine]uint64 {
-	if p, ok := s.shared.Load(line); ok {
-		return p.(*[proto.WordsPerLine]uint64)
-	}
-	p, _ := s.shared.LoadOrStore(line, new([proto.WordsPerLine]uint64))
-	return p.(*[proto.WordsPerLine]uint64)
-}
-
 // Read returns the committed value of the word containing addr.
 func (s *Store) Read(addr proto.Addr) uint64 {
-	if s.shared != nil {
-		return atomic.LoadUint64(&s.page(addr.Line())[addr.WordIndex()])
-	}
 	return s.words[addr.Word()]
 }
 
 // Write commits value to the word containing addr.
 func (s *Store) Write(addr proto.Addr, value uint64) {
-	if s.shared != nil {
-		atomic.StoreUint64(&s.page(addr.Line())[addr.WordIndex()], value)
-		return
-	}
 	s.words[addr.Word()] = value
 }
 
 // ReadLine returns the committed values of all words in addr's line.
 func (s *Store) ReadLine(addr proto.Addr) [proto.WordsPerLine]uint64 {
-	if s.shared != nil {
-		p := s.page(addr.Line())
-		var vals [proto.WordsPerLine]uint64
-		for i := range vals {
-			vals[i] = atomic.LoadUint64(&p[i])
-		}
-		return vals
-	}
 	var vals [proto.WordsPerLine]uint64
 	line := addr.Line()
 	for i := 0; i < proto.WordsPerLine; i++ {
@@ -109,42 +52,18 @@ type DRAM struct {
 	eng *sim.Engine
 	net *noc.Network
 
-	// engOf[i] drives controller i's service-latency wait. In serial mode
-	// all entries are the one engine; a partitioned machine points each at
-	// the engine of the logical process owning that controller's node
-	// (controllers are merged with their corner tile's LP, so the wait is
-	// scheduled — and the delivery closure below runs — on that LP).
-	engOf [noc.NumMemCtrl]*sim.Engine
-
 	// AccessLatency is the controller+DRAM service time per request.
 	AccessLatency sim.Cycle
 
-	// accesses counts serviced requests per memory controller, and each
+	// accesses counts serviced requests per memory controller; each
 	// controller's counter is incremented only by the delivery event that
-	// runs AT that controller — the request counter is controller-local
-	// state, not bank state, so the isolation prover can certify the
-	// slicing (each memory controller is its own logical process).
+	// runs at that controller.
 	accesses [noc.NumMemCtrl]uint64
 }
 
 // NewDRAM builds the memory model on net.
 func NewDRAM(eng *sim.Engine, net *noc.Network, accessLatency sim.Cycle) *DRAM {
-	d := &DRAM{eng: eng, net: net, AccessLatency: accessLatency}
-	for i := range d.engOf {
-		d.engOf[i] = eng
-	}
-	return d
-}
-
-// SetEngines points each memory controller at the engine of its logical
-// process (wiring-time only). engs[i] drives controller i.
-func (d *DRAM) SetEngines(engs [noc.NumMemCtrl]*sim.Engine) {
-	for i, e := range engs {
-		if e == nil {
-			panic("mem: nil engine in SetEngines")
-		}
-		d.engOf[i] = e
-	}
+	return &DRAM{eng: eng, net: net, AccessLatency: accessLatency}
 }
 
 // ControllerFor returns the memory controller node serving line.
@@ -167,7 +86,7 @@ func (d *DRAM) Fetch(bank proto.NodeID, line proto.Addr, class proto.MsgClass, d
 	idx := ctrlIndex(line)
 	d.net.Send(bank, mc, class, proto.CtrlFlits, func() {
 		d.accesses[idx]++
-		d.engOf[idx].Schedule(d.AccessLatency, func() {
+		d.eng.Schedule(d.AccessLatency, func() {
 			d.net.Send(mc, bank, class, proto.LineDataFlits, done)
 		})
 	})
@@ -179,7 +98,7 @@ func (d *DRAM) WriteBack(bank proto.NodeID, line proto.Addr, done func()) {
 	idx := ctrlIndex(line)
 	d.net.Send(bank, mc, proto.ClassWB, proto.LineDataFlits, func() {
 		d.accesses[idx]++
-		d.engOf[idx].Schedule(d.AccessLatency, func() {
+		d.eng.Schedule(d.AccessLatency, func() {
 			if done != nil {
 				d.net.Send(mc, bank, proto.ClassWB, proto.CtrlFlits, done)
 			}

@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"sync"
-
-	"denovosync/internal/proto"
-)
+import "denovosync/internal/proto"
 
 // SigTable implements the DeNovoND-style [35] hardware write-signature
 // store for dynamic self-invalidation: conceptually a small table carried
@@ -17,34 +13,26 @@ import (
 // acquire consumes (returns and clears) the acquirer's own accumulator.
 // Bloom false positives only cause extra safe invalidations.
 //
-// The table is written from releasers and read from acquirers on different
-// tiles, so the isolation prover audits it as a boundary rather than
-// slicing it: architecturally the signatures ride the sync-variable
-// ownership transfer (registration messages). Row lookup goes through a
-// sync.Map (creation is the only contended step); the per-core cells of a
-// row need no locking because every Publish/Consume pair of the same lock
-// is ordered by that lock's ownership-transfer message chain — releases of
-// a held lock and the acquires that observe them never overlap — a claim
-// the race detector re-verifies on every parallel differential run.
-//
-//lpisolate:boundary(write signatures ride sync-variable transfer messages; rows shared under PDES with lock-transfer ordering)
+// Architecturally the signatures ride the sync-variable ownership
+// transfer (registration messages), so one table serves every tile.
 type SigTable struct {
 	cores int
-	sigs  sync.Map // proto.Addr (word) -> []proto.Signature
+	sigs  map[proto.Addr][]proto.Signature // lock word -> per-core accumulators
 }
 
 // NewSigTable returns an empty table for a cores-core machine.
 func NewSigTable(cores int) *SigTable {
-	return &SigTable{cores: cores}
+	return &SigTable{cores: cores, sigs: make(map[proto.Addr][]proto.Signature)}
 }
 
 func (t *SigTable) entry(lock proto.Addr) []proto.Signature {
 	w := lock.Word()
-	if e, ok := t.sigs.Load(w); ok {
-		return e.([]proto.Signature)
+	e, ok := t.sigs[w]
+	if !ok {
+		e = make([]proto.Signature, t.cores)
+		t.sigs[w] = e
 	}
-	e, _ := t.sigs.LoadOrStore(w, make([]proto.Signature, t.cores))
-	return e.([]proto.Signature)
+	return e
 }
 
 // Publish merges the releaser's write signature into every other core's

@@ -42,12 +42,11 @@ type Directory struct {
 	tiles int
 	// entries is sharded per home bank: entries[b] holds the lines whose
 	// L2 bank is tile b, and is touched only by events running at that
-	// tile — so a partitioned machine needs no locking around it.
+	// tile.
 	entries []map[proto.Addr]*dirEntry
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
-	//lpisolate:boundary(Set*-injected coverage observer; read-only by contract, enforced by simlint observerpurity)
 	obs TransitionObserver
 }
 
@@ -110,9 +109,8 @@ func (d *Directory) maybeStart(line proto.Addr, e *dirEntry) {
 	if p.wantM {
 		class = proto.ClassST
 	}
-	// Directory/L2 access latency, then a cold fetch if needed — on the
-	// home bank's engine (the request was delivered at the home tile).
-	d.cfg.engAt(d.NodeFor(line)).Schedule(d.cfg.L2AccessLat, func() {
+	// Directory/L2 access latency, then a cold fetch if needed.
+	d.cfg.Eng.Schedule(d.cfg.L2AccessLat, func() {
 		if !e.resident {
 			d.cfg.DRAM.Fetch(d.NodeFor(line), line, class, func() {
 				e.resident = true

@@ -44,24 +44,11 @@ type Config struct {
 	Store *mem.Store
 	DRAM  *mem.DRAM
 
-	// EngAt, when non-nil, maps a node to the engine of the logical
-	// process owning it (partitioned machines); nil means Eng drives
-	// everything. Controllers resolve their engine once, at wiring time.
-	EngAt func(proto.NodeID) *sim.Engine
-
 	L1Size, L1Ways int
 
 	// Latencies (cycles): L1 access, L2/directory access, remote-L1 tag
 	// access for forwarded requests. Fitted to Table 1 (1 / 27 / 9).
 	L1AccessLat, L2AccessLat, RemoteL1Lat sim.Cycle
-}
-
-// engAt resolves the engine driving node.
-func (cfg *Config) engAt(node proto.NodeID) *sim.Engine {
-	if cfg.EngAt != nil {
-		return cfg.EngAt(node)
-	}
-	return cfg.Eng
 }
 
 // txn is an outstanding L1 miss (one per line).
@@ -91,7 +78,7 @@ type txn struct {
 // L1 is one core's private MESI cache controller.
 type L1 struct {
 	cfg  *Config
-	eng  *sim.Engine // the engine driving this tile (cfg.engAt(node))
+	eng  *sim.Engine // cfg.Eng
 	id   proto.CoreID
 	node proto.NodeID
 	dir  *Directory
@@ -130,7 +117,6 @@ type L1 struct {
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
-	//lpisolate:boundary(Set*-injected coverage observer; read-only by contract, enforced by simlint observerpurity)
 	obs TransitionObserver
 
 	stats proto.L1Stats
@@ -140,7 +126,7 @@ type L1 struct {
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID) *L1 {
 	c := &L1{
 		cfg:      cfg,
-		eng:      cfg.engAt(node),
+		eng:      cfg.Eng,
 		id:       id,
 		node:     node,
 		cache:    cache.New(cfg.L1Size, cfg.L1Ways),

@@ -32,60 +32,6 @@ func TestInFlightBetweenSendAndDispatch(t *testing.T) {
 	}
 }
 
-// swallow is an Exchange that never schedules a delivery.
-type swallow struct{ dropped int }
-
-func (s *swallow) Deliver(src, dst proto.NodeID, at, schedAt sim.Cycle, ctr uint64, tag sim.Tag, fn func()) {
-	s.dropped++
-}
-
-// TestInFlightCountsSwallowedMessage: a message that is sent but never
-// scheduled stays in flight forever — the accounting is sent minus
-// dispatched, not a sweep of the pending queue.
-func TestInFlightCountsSwallowedMessage(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(eng, mesh4x4(), 10, 3)
-	x := &swallow{}
-	n.SetExchange(x)
-	n.Send(0, 15, proto.ClassLD, proto.LineDataFlits, func() { t.Error("swallowed message delivered") })
-	eng.Run(0)
-	if x.dropped != 1 {
-		t.Fatalf("exchange saw %d deliveries, want 1", x.dropped)
-	}
-	if got := n.InFlight(); got[proto.ClassLD] != 1 || n.InFlightTotal() != 1 {
-		t.Fatalf("in flight = %v, want the swallowed LD message", got)
-	}
-}
-
-// TestInFlightSumsDistinctEngines: with one engine per group of nodes,
-// dispatches are summed over the distinct engines, each counted once.
-func TestInFlightSumsDistinctEngines(t *testing.T) {
-	mesh := mesh4x4()
-	a, b := sim.NewEngine(), sim.NewEngine()
-	n := New(a, mesh, 10, 3)
-	engOf := make([]*sim.Engine, mesh.Tiles()+NumMemCtrl)
-	for i := range engOf {
-		engOf[i] = a
-		if i >= 8 && i < mesh.Tiles() {
-			engOf[i] = b
-		}
-	}
-	n.SetEngines(engOf)
-	n.Send(0, 12, proto.ClassST, proto.CtrlFlits, func() {}) // runs on b
-	n.Send(0, 3, proto.ClassST, proto.CtrlFlits, func() {})  // runs on a
-	if got := n.InFlight()[proto.ClassST]; got != 2 {
-		t.Fatalf("in flight = %d, want 2", got)
-	}
-	a.Run(0)
-	if got := n.InFlight()[proto.ClassST]; got != 1 {
-		t.Fatalf("in flight after engine a drained = %d, want 1", got)
-	}
-	b.Run(0)
-	if got := n.InFlightTotal(); got != 0 {
-		t.Fatalf("in flight after both drained = %d, want 0", got)
-	}
-}
-
 // TestSendAllocatesNothing: sending a pre-bound delivery and dispatching
 // it allocates nothing once the engine is warm, with the in-flight
 // accounting the watchdog reads live throughout.

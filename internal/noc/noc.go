@@ -72,57 +72,29 @@ func abs(x int) int {
 	return x
 }
 
-// endpoint is one node's tile-local slice of the traffic accounting.
-// Only Send writes it, and only the source node's endpoint. Keeping every
-// mutable counter sliced per node is what lets the isolation prover
-// (internal/lint/lpisolate) certify the network as PDES-partitionable: a
-// logical process only ever touches its own endpoint, and totals are
-// aggregated by read-only sweeps.
+// endpoint is one node's slice of the traffic accounting. Only Send
+// writes it, and only the source node's endpoint; totals are aggregated
+// by read-only sweeps in node order.
 type endpoint struct {
 	flitCrossings [proto.NumMsgClasses]uint64
 	messages      [proto.NumMsgClasses]uint64
 
 	// sent counts messages per class that entered the mesh here. The
 	// delivery side needs no counter of its own: each delivery event is
-	// tagged with its class, and the engine that dispatches it counts it
+	// tagged with its class, and the engine counts it when it dispatches
 	// (see InFlight).
 	sent [proto.NumMsgClasses]uint64
 
 	// arrivalSeq is this node's running cross-router message counter: the
 	// per-source half of the (src, ctr) arrival tie-break key (see
-	// sim.Engine.ScheduleArrivalAt). Source-owned, so every partition of
-	// the machine assigns identical keys without coordination.
+	// sim.Engine.ScheduleArrivalAt).
 	arrivalSeq uint64
-}
-
-// Exchange routes a cross-router delivery to the destination node's event
-// queue. The serial machine needs none (every node shares one engine); the
-// conservative window scheduler (internal/pdes) installs one that enqueues
-// same-LP arrivals directly and exports cross-LP arrivals as timestamped
-// messages into per-edge mailboxes drained at window barriers.
-type Exchange interface {
-	// Deliver schedules fn at absolute cycle at on dst's queue. schedAt is
-	// the send cycle, (src, ctr) the sender-assigned arrival key, and tag
-	// the message class's event tag, which the event must carry so its
-	// dispatch is counted (see InFlight).
-	Deliver(src, dst proto.NodeID, at, schedAt sim.Cycle, ctr uint64, tag sim.Tag, fn func())
 }
 
 // Network delivers messages across a Mesh and tallies traffic.
 type Network struct {
 	Mesh
 	eng *sim.Engine
-
-	// engOf maps a node to the engine that executes its events — all the
-	// same engine in serial mode, one per logical process under PDES —
-	// and engines lists the distinct ones, in node order, for the
-	// in-flight sweep. Wiring-time state, frozen before the first send.
-	engOf   []*sim.Engine
-	engines []*sim.Engine
-
-	// exchange, when non-nil, routes cross-router deliveries (see Exchange).
-	//lpisolate:boundary(wiring-injected cross-LP event exchange: per-edge mailboxes owned by the window scheduler, drained at barriers)
-	exchange Exchange
 
 	// perHopNum/perHopDen is the per-hop latency in cycles, as a rational
 	// so the 16-core fit of 10/3 cycles per hop is exact.
@@ -133,24 +105,17 @@ type Network struct {
 	eps []endpoint
 
 	// trace, when non-nil, observes every message at send time.
-	//lpisolate:boundary(wiring-injected observer: read-only by contract, runs synchronously at the sender)
 	trace func(at sim.Cycle, src, dst proto.NodeID, class proto.MsgClass, flits int)
 
 	// perturb, when non-nil, replaces a message's modeled delivery latency
 	// with a (possibly jittered) one — the chaos engine's injection point.
-	// now is the send cycle (passed in so the policy needs no engine handle
-	// of its own — under PDES each sender has a different clock). The
-	// callback must return a latency >= 0; it may reorder deliveries
-	// across source/destination pairs but is responsible for whatever
-	// ordering discipline the attached policy promises.
-	//lpisolate:boundary(wiring-injected latency policy: owns only its own jitter state, audited in internal/chaos)
+	// now is the send cycle. The callback must return a latency >= 0; it
+	// may reorder deliveries across source/destination pairs but is
+	// responsible for whatever ordering discipline the attached policy
+	// promises.
 	perturb func(now sim.Cycle, src, dst proto.NodeID, class proto.MsgClass, flits int, lat sim.Cycle) sim.Cycle
 
 	// cont, when non-nil, switches latency to the link-contention model.
-	// Its per-link busy horizons are fabric state mutated on every send:
-	// under a PDES partition the contended mesh is its own logical
-	// process (or sharded per link), not tile state.
-	//lpisolate:boundary(link-contention busy horizons are fabric-owned; a PDES port makes the contended NoC its own LP)
 	cont *contention
 }
 
@@ -159,40 +124,10 @@ func New(eng *sim.Engine, mesh Mesh, perHopNum, perHopDen sim.Cycle) *Network {
 	if perHopDen == 0 {
 		panic("noc: zero per-hop denominator")
 	}
-	n := &Network{
+	return &Network{
 		Mesh: mesh, eng: eng, perHopNum: perHopNum, perHopDen: perHopDen,
-		eps:   make([]endpoint, mesh.Tiles()+NumMemCtrl),
-		engOf: make([]*sim.Engine, mesh.Tiles()+NumMemCtrl),
+		eps: make([]endpoint, mesh.Tiles()+NumMemCtrl),
 	}
-	for i := range n.engOf {
-		n.engOf[i] = eng
-	}
-	n.engines = []*sim.Engine{eng}
-	return n
-}
-
-// SetEngines installs the per-node engine map for a partitioned machine:
-// engOf[node] is the engine that executes node's events. Wiring-time only.
-func (n *Network) SetEngines(engOf []*sim.Engine) {
-	if len(engOf) != len(n.engOf) {
-		panic("noc: SetEngines length mismatch")
-	}
-	copy(n.engOf, engOf)
-	n.engines = n.engines[:0]
-	for _, e := range engOf {
-		if !containsEngine(n.engines, e) {
-			n.engines = append(n.engines, e)
-		}
-	}
-}
-
-func containsEngine(es []*sim.Engine, e *sim.Engine) bool {
-	for _, x := range es {
-		if x == e {
-			return true
-		}
-	}
-	return false
 }
 
 // classTag is the event tag a message class's deliveries carry; tag 0
@@ -201,13 +136,6 @@ func classTag(class proto.MsgClass) sim.Tag { return sim.Tag(class) + 1 }
 
 // Every class needs its own tag: this fails to compile if they run out.
 const _ = uint(sim.NumTags - 1 - proto.NumMsgClasses)
-
-// SetExchange installs the cross-router delivery router (nil restores
-// direct scheduling on the destination node's engine). Wiring-time only.
-func (n *Network) SetExchange(x Exchange) { n.exchange = x }
-
-// EngineFor returns the engine executing node's events.
-func (n *Network) EngineFor(node proto.NodeID) *sim.Engine { return n.engOf[node] }
 
 // Latency returns the modeled network traversal time for hops hops.
 func (n *Network) Latency(hops int) sim.Cycle {
@@ -221,18 +149,12 @@ func (n *Network) Latency(hops int) sim.Cycle {
 // itself, tagged with the message class, so Send allocates nothing of its
 // own.
 //
-// Send must be called while executing on src's engine (every caller is a
-// tile-local controller or a delivery event already running at src).
-// Cross-router deliveries are keyed arrivals — ordered at the destination
-// by (arrival cycle, send cycle, src, per-src counter), a key computed
-// from sender-owned state alone — so the dispatch order is identical
-// whether all nodes share one engine or the machine is partitioned into
-// logical processes. Same-router transfers stay band-0 local events: the
-// two nodes sharing a router (a tile and its co-located L2 bank, a corner
-// tile and its memory controller) are always in the same partition.
+// Cross-router deliveries are keyed arrivals, ordered by (arrival cycle,
+// send cycle, src, per-src counter); same-router transfers are ordinary
+// sequence-numbered events. The recorded results depend on both orders
+// (see sim.Engine.ScheduleArrivalAt).
 func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, deliver func()) sim.Cycle {
-	eng := n.engOf[src]
-	now := eng.Now()
+	now := n.eng.Now()
 	if n.trace != nil {
 		n.trace(now, src, dst, class, flits)
 	}
@@ -251,20 +173,12 @@ func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, d
 	n.eps[src].sent[class]++
 	tag := classTag(class)
 	if hops == 0 {
-		// Same router ⇒ same logical process under any partition: keep
-		// the local FIFO-ring fast path (and with it, the exact serial
-		// ordering of co-located transfers).
-		eng.ScheduleTagged(lat, tag, deliver)
+		n.eng.ScheduleTagged(lat, tag, deliver)
 		return lat
 	}
 	ctr := n.eps[src].arrivalSeq
 	n.eps[src].arrivalSeq++
-	at := now + lat
-	if x := n.exchange; x != nil {
-		x.Deliver(src, dst, at, now, ctr, tag, deliver)
-	} else {
-		n.engOf[dst].ScheduleArrivalAt(at, now, uint32(src), ctr, tag, deliver)
-	}
+	n.eng.ScheduleArrivalAt(now+lat, now, uint32(src), ctr, tag, deliver)
 	return lat
 }
 
@@ -275,21 +189,16 @@ func (n *Network) SetPerturb(fn func(now sim.Cycle, src, dst proto.NodeID, class
 
 // InFlight returns the sent-but-undelivered message count per class: the
 // per-endpoint sent counters, swept in node order, minus the class-tagged
-// deliveries each distinct engine has dispatched. A message waiting in a
-// PDES mailbox, or one an Exchange never scheduled, is sent and not
-// dispatched, so it counts as in flight. The accounting is always on and
+// deliveries the engine has dispatched. The accounting is always on and
 // costs Send one counter increment.
 func (n *Network) InFlight() [proto.NumMsgClasses]int64 {
 	var out [proto.NumMsgClasses]int64
 	for c := range out {
-		var sent, delivered uint64
+		var sent uint64
 		for i := range n.eps {
 			sent += n.eps[i].sent[c]
 		}
-		for _, e := range n.engines {
-			delivered += e.Dispatched(classTag(proto.MsgClass(c)))
-		}
-		out[c] = int64(sent - delivered)
+		out[c] = int64(sent - n.eng.Dispatched(classTag(proto.MsgClass(c))))
 	}
 	return out
 }

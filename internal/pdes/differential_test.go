@@ -1,20 +1,28 @@
+// Package pdes_test holds the differential battery that certified the
+// parallel engine against the serial one: every partitioned run had to
+// reproduce the serial run's determinism fingerprint bit-for-bit. The
+// parallel engine has been removed, and the simulator now runs on one
+// engine. The battery stays, under its old path and names, as the
+// serial half of that oracle: every kernel x protocol cell must still
+// produce the fingerprint that both engines agreed on when the parallel
+// one was deleted (testdata/battery_golden.txt).
 package pdes_test
 
-// The differential battery: every parallel run must reproduce the serial
-// run's determinism fingerprint bit-for-bit. This is the package's
-// absolute oracle — the conservative window scheduler is only correct if
-// partitioning is unobservable in every simulated quantity.
-
 import (
+	"bufio"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"denovosync/internal/alloc"
-	"denovosync/internal/chaos"
 	"denovosync/internal/kernels"
 	"denovosync/internal/machine"
-	"denovosync/internal/sim"
 	"denovosync/internal/stats"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/battery_golden.txt from the simulator")
 
 // jobSpec is one cell of the differential matrix.
 type jobSpec struct {
@@ -23,7 +31,7 @@ type jobSpec struct {
 	sigs   bool // DeNovoSync with DeNovoND-style write signatures
 }
 
-// configName labels the protocol variant in failure messages.
+// configName labels the protocol variant in subtest names.
 func (j jobSpec) configName() string {
 	if j.sigs {
 		return "DSsig"
@@ -38,26 +46,22 @@ func (j jobSpec) configName() string {
 	}
 }
 
-// runJob executes one kernel on a fresh 16-core machine. lps == 1 is the
-// serial reference; lps > 1 partitions the mesh. jitter > 0 attaches the
-// hash perturber (partition-independent chaos timing).
-func runJob(t *testing.T, j jobSpec, lps int, jitter sim.Cycle) *stats.RunStats {
+func (j jobSpec) name() string { return j.kernel + "/" + j.configName() }
+
+// runJob executes one kernel on a fresh 16-core machine.
+func runJob(t *testing.T, j jobSpec) *stats.RunStats {
 	t.Helper()
 	p := machine.Params16()
 	p.Seed = 7
-	p.LPs = lps
 	p.Signatures = j.sigs
 	k, ok := kernels.ByID(j.kernel)
 	if !ok {
 		t.Fatalf("unknown kernel %s", j.kernel)
 	}
 	m := machine.New(p, j.prot, alloc.New())
-	if jitter > 0 {
-		chaos.AttachHash(m.Net, chaos.HashPolicy{Seed: 99, MaxJitter: jitter})
-	}
 	rs, err := kernels.Run(k, m, kernels.Config{Iters: 4, EqChecks: -1, UseSignatures: j.sigs})
 	if err != nil {
-		t.Fatalf("%s/%s lps=%d: %v", j.kernel, j.configName(), lps, err)
+		t.Fatalf("%s: %v", j.name(), err)
 	}
 	return rs
 }
@@ -76,8 +80,7 @@ func fullMatrix() []jobSpec {
 	return jobs
 }
 
-// shortMatrix trims to three synchronization shapes for -short runs; the
-// CI pdes-check job runs the full matrix under -race.
+// shortMatrix trims to three synchronization shapes for -short runs.
 func shortMatrix() []jobSpec {
 	var jobs []jobSpec
 	for _, k := range []string{"tatas-counter", "nb-m-s-queue", "bar-tree"} {
@@ -92,82 +95,72 @@ func shortMatrix() []jobSpec {
 }
 
 func matrix(t *testing.T) []jobSpec {
-	if testing.Short() {
+	if testing.Short() && !*updateGolden {
 		return shortMatrix()
 	}
 	return fullMatrix()
 }
 
-// TestDifferentialBattery: serial vs fully-partitioned (one LP per tile)
-// fingerprints over the kernel x protocol matrix.
+var goldenPath = filepath.Join("testdata", "battery_golden.txt")
+
+// readGolden maps each cell name to its pinned fingerprint. Each line of
+// the golden file is "<kernel>/<config>\t<fingerprint>".
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	defer f.Close()
+	golden := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		name, fp, ok := strings.Cut(sc.Text(), "\t")
+		if !ok {
+			t.Fatalf("%s:%d: want \"<kernel>/<config>\\t<fingerprint>\"", goldenPath, line)
+		}
+		golden[name] = fp
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
+// TestDifferentialBattery: every cell of the kernel x protocol matrix must
+// reproduce its pinned fingerprint. -update reruns the full matrix one
+// cell at a time and rewrites the golden file.
 func TestDifferentialBattery(t *testing.T) {
-	for _, j := range matrix(t) {
-		j := j
-		t.Run(j.kernel+"/"+j.configName(), func(t *testing.T) {
+	var golden map[string]string
+	if !*updateGolden {
+		golden = readGolden(t)
+	}
+	jobs := matrix(t)
+	lines := make([]string, len(jobs))
+	for i, j := range jobs {
+		i, j := i, j
+		t.Run(j.name(), func(t *testing.T) {
+			if *updateGolden {
+				lines[i] = j.name() + "\t" + stats.Fingerprint(runJob(t, j)) + "\n"
+				return
+			}
 			t.Parallel()
-			serial := stats.Fingerprint(runJob(t, j, 1, 0))
-			parallel := stats.Fingerprint(runJob(t, j, 16, 0))
-			if serial != parallel {
-				t.Errorf("parallel run diverged from serial:\nserial:   %s\nparallel: %s", serial, parallel)
+			want, ok := golden[j.name()]
+			if !ok {
+				t.Fatalf("no pinned fingerprint (run with -update to create)")
+			}
+			if got := stats.Fingerprint(runJob(t, j)); got != want {
+				t.Errorf("run diverged from its pinned fingerprint:\nwant: %s\ngot:  %s", want, got)
 			}
 		})
 	}
-}
-
-// TestDifferentialLPGrouping: every legal LP count groups tiles
-// differently but must land on the same fingerprint.
-func TestDifferentialLPGrouping(t *testing.T) {
-	for _, j := range shortMatrix() {
-		j := j
-		t.Run(j.kernel+"/"+j.configName(), func(t *testing.T) {
-			t.Parallel()
-			want := stats.Fingerprint(runJob(t, j, 1, 0))
-			for _, lps := range []int{2, 4, 16} {
-				if got := stats.Fingerprint(runJob(t, j, lps, 0)); got != want {
-					t.Errorf("lps=%d diverged from serial:\nserial: %s\nlps=%d:  %s", lps, want, lps, got)
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialChaos: under hash-jittered message timing (the
-// partition-independent chaos policy) parallel runs must still reproduce
-// the jittered serial run exactly — jitter shifts delivery times but the
-// ordering key and the per-edge clamp state are mode-invariant.
-func TestDifferentialChaos(t *testing.T) {
-	jobs := shortMatrix()
-	if testing.Short() {
-		jobs = jobs[:4]
-	}
-	for _, j := range jobs {
-		j := j
-		t.Run(j.kernel+"/"+j.configName(), func(t *testing.T) {
-			t.Parallel()
-			for _, jitter := range []sim.Cycle{3, 17} {
-				serial := stats.Fingerprint(runJob(t, j, 1, jitter))
-				parallel := stats.Fingerprint(runJob(t, j, 16, jitter))
-				if serial != parallel {
-					t.Errorf("jitter=%d parallel diverged:\nserial:   %s\nparallel: %s", jitter, serial, parallel)
-				}
-			}
-		})
-	}
-}
-
-// TestSmoke is the seconds-scale gate run by `make pdes-smoke`: one
-// lock-based and one non-blocking kernel, serial vs lps=4 vs lps=16.
-func TestSmoke(t *testing.T) {
-	for _, j := range []jobSpec{
-		{"tatas-counter", machine.DeNovoSync, false},
-		{"nb-m-s-queue", machine.MESI, false},
-	} {
-		want := stats.Fingerprint(runJob(t, j, 1, 0))
-		for _, lps := range []int{4, 16} {
-			if got := stats.Fingerprint(runJob(t, j, lps, 0)); got != want {
-				t.Fatalf("%s/%s lps=%d diverged:\nserial:   %s\nparallel: %s",
-					j.kernel, j.configName(), lps, want, got)
-			}
+	if *updateGolden && !t.Failed() {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -2,25 +2,21 @@
 // every other component of the simulator: the network, the caches, the
 // protocol controllers, and the cores.
 //
-// The engine is single-threaded; a machine is either driven by one engine
-// (the serial mode) or partitioned into logical processes with one engine
-// each, exchanging timestamped events under a conservative time-window
-// scheduler (internal/pdes). All simulated concurrency is expressed as
-// events on a priority queue ordered by a key designed to be identical in
-// both modes:
+// One single-threaded engine drives a whole machine. All simulated
+// concurrency is expressed as events on a priority queue ordered by the
+// key
 //
 //	(at, schedAt, band|payload)
 //
 // where at is the dispatch cycle, schedAt the cycle the event was created,
 // and the final word breaks remaining ties: locally scheduled events
 // (band 0) carry the engine's own sequence number — FIFO by schedule
-// order — and cross-tile message arrivals (band 1, see ScheduleArrivalAt)
-// carry (source node, per-source message counter), which every partition
-// reconstructs identically without any global coordination. Same-tile
-// events keep their serial relative order under any partition because a
-// tile's schedule order is a subsequence of its engine's sequence numbers;
-// cross-tile same-key ties touch disjoint state (certified by
-// cmd/lpisolate), so their relative order is outcome-invariant.
+// order — and cross-router message arrivals (band 1, see
+// ScheduleArrivalAt) carry (source node, per-source message counter). The
+// arrival band is what orders same-cycle arrivals in every golden and
+// digest recorded so far, so it stays even though one engine could order
+// them by sequence number alone: switching would reorder those arrivals
+// and move every recorded result.
 //
 // Internally the queue is allocation-free on the hot path: events live in
 // a pooled arena recycled through a free list, the priority queue is an
@@ -71,8 +67,8 @@ const NumTags = 8
 
 const nilIdx = int32(-1)
 
-// arrivalBand marks a cross-tile arrival key (band 1); band-0 keys are
-// engine-local sequence numbers.
+// arrivalBand marks a cross-router arrival key (band 1); band-0 keys are
+// sequence numbers.
 const arrivalBand = uint64(1) << 63
 
 // arrivalCtrBits is the per-source message counter width inside an arrival
@@ -185,14 +181,14 @@ func checkTag(tag Tag) {
 	}
 }
 
-// ScheduleArrivalAt enqueues a cross-tile message arrival: fn runs at the
-// absolute cycle at, ordered against all other events by (at, schedAt,
-// src, ctr) — a key the sender computes from its own state alone, so a
-// partitioned run reconstructs the exact serial dispatch order. schedAt is
-// the cycle the message was sent (strictly before at: cross-router
-// latency is at least one cycle), src the sending node, and ctr the
-// sender's running arrival counter. The arrival counts under tag when it
-// dispatches.
+// ScheduleArrivalAt enqueues a cross-router message arrival: fn runs at
+// the absolute cycle at, ordered against all other events by (at,
+// schedAt, src, ctr) rather than by sequence number. schedAt is the cycle
+// the message was sent (strictly before at: cross-router latency is at
+// least one cycle), src the sending node, and ctr the sender's running
+// arrival counter. The key is kept because the recorded goldens and
+// digests were produced under it (see the package comment). The arrival
+// counts under tag when it dispatches.
 func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, tag Tag, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleArrivalAt with nil fn")
@@ -230,32 +226,19 @@ func (e *Engine) Stop() { e.stopped = true }
 // Pending reports how many events remain queued.
 func (e *Engine) Pending() int { return len(e.heap) + e.ringLen }
 
-// NextEventTime returns the dispatch cycle of the earliest pending event,
-// or ok = false if the queue is empty. The conservative window scheduler
-// uses it to compute the global window floor.
-func (e *Engine) NextEventTime() (t Cycle, ok bool) {
-	if e.ringLen > 0 {
-		return e.now, true
-	}
-	if len(e.heap) > 0 {
-		return e.arena[e.heap[0]].at, true
-	}
-	return 0, false
-}
-
 // next pops the arena index of the earliest pending event — by (time,
 // schedAt, key) — advancing the clock as needed, or returns nilIdx if the
-// queue is drained or the earliest event lies beyond horizon. Heap events
-// at the current cycle precede the ring (they were scheduled before the
-// clock reached this cycle, so their schedAt is lower).
-func (e *Engine) next(horizon Cycle) int32 {
+// queue is drained. Heap events at the current cycle precede the ring
+// (they were scheduled before the clock reached this cycle, so their
+// schedAt is lower).
+func (e *Engine) next() int32 {
 	if len(e.heap) > 0 && e.arena[e.heap[0]].at == e.now {
 		return e.heapPop()
 	}
 	if e.ringLen > 0 {
 		return e.ringPop()
 	}
-	if len(e.heap) > 0 && e.arena[e.heap[0]].at <= horizon {
+	if len(e.heap) > 0 {
 		i := e.heapPop()
 		e.now = e.arena[i].at
 		return i
@@ -263,45 +246,15 @@ func (e *Engine) next(horizon Cycle) int32 {
 	return nilIdx
 }
 
-const maxCycle = ^Cycle(0)
-
 // Run dispatches events until the queue drains, Stop is called, or limit
 // events have run (limit 0 means no limit). It returns the number of events
-// dispatched by this call.
+// dispatched by this call. Each event is counted under its tag and its
+// slot recycled before it runs.
 func (e *Engine) Run(limit uint64) uint64 {
 	e.stopped = false
-	return e.drain(maxCycle, limit)
-}
-
-// RunUntil dispatches events with time ≤ t, then sets the clock to t.
-func (e *Engine) RunUntil(t Cycle) {
-	e.RunUntilBudget(t, 0)
-}
-
-// RunUntilBudget dispatches events with time ≤ t — at most budget of them
-// (0 = unlimited) — then sets the clock to t if the queue was exhausted up
-// to t. It returns the number of events dispatched. The window scheduler
-// uses the budget as a livelock backstop: an event storm that never
-// advances time cannot pin a logical process inside one window forever.
-func (e *Engine) RunUntilBudget(t Cycle, budget uint64) uint64 {
-	n := e.drain(t, budget)
-	if !e.stopped && budget > 0 && n >= budget {
-		return n // budget spent: events up to t may remain
-	}
-	if e.now < t {
-		e.now = t
-	}
-	return n
-}
-
-// drain dispatches events with time ≤ horizon until none is left, Stop is
-// called, or limit events have run (0 = no limit), and returns how many
-// ran. Each event is counted under its tag and its slot recycled before
-// it runs.
-func (e *Engine) drain(horizon Cycle, limit uint64) uint64 {
 	var n uint64
 	for !e.stopped && (limit == 0 || n < limit) {
-		i := e.next(horizon)
+		i := e.next()
 		if i == nilIdx {
 			break
 		}

@@ -89,26 +89,6 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var hits []Cycle
-	for _, d := range []Cycle{3, 8, 15} {
-		d := d
-		e.Schedule(d, func() { hits = append(hits, e.Now()) })
-	}
-	e.RunUntil(10)
-	if len(hits) != 2 || hits[0] != 3 || hits[1] != 8 {
-		t.Fatalf("hits = %v", hits)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %d, want 10", e.Now())
-	}
-	e.Run(0)
-	if len(hits) != 3 || hits[2] != 15 {
-		t.Fatalf("hits after Run = %v", hits)
-	}
-}
-
 func TestAtPanicsInPast(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(5, func() {})

@@ -103,9 +103,11 @@ func TestDispatchedCountsPerTag(t *testing.T) {
 	if e.Dispatched(3) != 0 || e.Dispatched(5) != 0 {
 		t.Fatal("events counted before dispatch")
 	}
-	e.RunUntil(3)
+	if n := e.Run(4); n != 4 {
+		t.Fatalf("Run(4) dispatched %d events, want 4", n)
+	}
 	if got := e.Dispatched(3); got != 1 {
-		t.Fatalf("tag 3 dispatched %d by cycle 3, want 1", got)
+		t.Fatalf("tag 3 dispatched %d in the first four events, want 1", got)
 	}
 	if got := e.Dispatched(5); got != 1 {
 		t.Fatalf("tag 5 dispatched %d, want 1", got)

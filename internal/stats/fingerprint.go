@@ -8,9 +8,8 @@ import (
 // Fingerprint renders every simulated quantity of a run in a canonical
 // text form, down to per-core cycle breakdowns. Two runs are "bitwise
 // identical" iff their fingerprints match; host-dependent diagnostics
-// (WallTime, EventsPerSec) are excluded. Both the machine determinism
-// suite and the pdes serial-vs-parallel differential battery compare
-// runs through this one renderer.
+// (WallTime, EventsPerSec) are excluded. The machine determinism suite
+// and the harness tests compare runs through this one renderer.
 func Fingerprint(rs *RunStats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s cores=%d exec=%d events=%d l1=%d/%d traffic=%d",

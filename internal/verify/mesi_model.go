@@ -75,7 +75,7 @@ type meDirReq struct {
 type meState struct {
 	cores    []meCore
 	dirState meDirState
-	owner    int  // -1 = none
+	owner    int // -1 = none
 	sharers  []bool
 	busy     bool
 	needAcks int
