@@ -12,20 +12,16 @@ func benchRun(b *testing.B, fn func(*Thread)) {
 	eng := sim.NewEngine()
 	l1 := newFakeL1(eng, 1)
 	core := NewCore(eng, 0, l1, nil)
-	core.Start()
-	th := NewThread(core, nil, sim.NewRNG(1))
-	go func() {
-		defer th.Close()
-		fn(th)
-	}()
+	core.Spawn(nil, sim.NewRNG(1), fn)
 	eng.Run(0)
 	if !core.Finished() {
 		b.Fatal("workload did not finish")
 	}
 }
 
-// BenchmarkHandshakeMemOp measures the full coroutine round-trip of a
-// blocking memory operation: channel send, engine event, channel receive.
+// BenchmarkHandshakeMemOp measures the full round trip of a blocking
+// memory operation: the thread's yield, the engine event, and the core's
+// resume of the thread coroutine.
 func BenchmarkHandshakeMemOp(b *testing.B) {
 	benchRun(b, func(t *Thread) {
 		for i := 0; i < b.N; i++ {

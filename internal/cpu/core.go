@@ -6,18 +6,23 @@
 // synchronization accesses obey program order (a sync access is not issued
 // until the previous one completes).
 //
-// Each simulated thread is an ordinary Go function running on its own
-// goroutine, coroutined with the single-threaded simulation engine through
-// a strict channel handshake: the engine blocks while the thread decides
-// its next operations, and the thread blocks while the engine simulates
-// them. Exactly one of the two is ever runnable, so simulation remains
-// deterministic and race-free. The thread queues every operation whose
-// result it ignores and hands the queue over, as one batch of steps,
-// only when it needs a value back; the core interprets the batch on the
-// engine side (see Thread).
+// Each simulated thread is an ordinary Go function run as a coroutine
+// (iter.Pull) owned by its core. The core resumes the thread, on the
+// engine goroutine, whenever it needs the thread's next operations; the
+// thread runs natively until it needs a value back, then yields the
+// operations it has queued, as one batch of steps, and stays suspended
+// while the core interprets the batch on the engine side (see Thread).
+// A resume is a direct switch between the two stacks that bypasses the
+// Go scheduler, and exactly one of engine and thread runs at any time, so
+// simulation remains deterministic and race-free. The core owns the
+// coroutine's lifetime: a panic in the thread body resurfaces from the
+// resume call as a *ThreadPanic, and Stop releases a thread the run
+// abandons.
 package cpu
 
 import (
+	"runtime"
+
 	"denovosync/internal/proto"
 	"denovosync/internal/sim"
 	"denovosync/internal/stats"
@@ -88,8 +93,14 @@ type Core struct {
 	l1      proto.L1Controller
 	regions RegionMapper
 
-	ops  chan []step
-	resp chan uint64
+	// The thread coroutine (see Spawn): resume runs it until it yields
+	// its next batch or ends, stop releases it unfinished. val is the
+	// value the thread reads back on resuming: its batch's last result.
+	// resumes counts calls to resume (see yieldEvery).
+	resume  func() ([]step, bool)
+	stop    func()
+	val     uint64
+	resumes uint32
 
 	// Interpreter state: the batch being run, the index of the step in
 	// flight, and that step's start cycle, backoff baseline and sampled
@@ -118,8 +129,6 @@ func NewCore(eng *sim.Engine, id proto.CoreID, l1 proto.L1Controller, onFinish f
 		eng:      eng,
 		id:       id,
 		l1:       l1,
-		ops:      make(chan []step),
-		resp:     make(chan uint64),
 		onFinish: onFinish,
 	}
 	c.issueFn, c.finishFn, c.accessDoneFn = c.issue, c.finish, c.accessDone
@@ -151,17 +160,36 @@ func (c *Core) Phase() Phase { return c.phase }
 // operations that return no value.
 func (c *Core) Retired() uint64 { return c.retired }
 
-// Start schedules the core's first service of its thread at cycle 0.
-func (c *Core) Start() {
-	c.eng.Schedule(0, c.serviceThread)
+// Stop releases a thread that has not finished: its pending operation
+// unwinds the body, so none of its remaining workload code runs. It
+// returns once the thread's coroutine has exited. Stopping a finished
+// thread, or a core without one, does nothing. The run's owner calls it
+// on every exit; it is never called from the engine.
+func (c *Core) Stop() {
+	if c.stop != nil {
+		c.stop()
+	}
 }
 
-// serviceThread blocks the engine until the thread hands over its next
-// batch of steps (or ends), then starts the batch. The thread is
-// guaranteed to be either computing natively (and will promptly send) or
-// already blocked sending.
+// yieldEvery is how many resumes a core makes between visits to the Go
+// scheduler. A coroutine switch never enters the scheduler, so without
+// these visits the garbage collector's background mark worker gets no CPU
+// at GOMAXPROCS 1 until the runtime preempts the run, every 10 ms: mark
+// phases stretch, more of what is allocated meanwhile survives them, and
+// peak RSS grows (by 10% on the apps benchmark workload). A yield every
+// 64 resumes prevents that at no measurable cost; every 256 was too few.
+// Yielding cannot change results: no other goroutine of the machine is
+// runnable.
+const yieldEvery = 64
+
+// serviceThread resumes the thread until it yields its next batch of
+// steps (or ends), then starts the batch. The thread runs natively,
+// inside this call, until it needs a value back.
 func (c *Core) serviceThread() {
-	b, ok := <-c.ops
+	if c.resumes++; c.resumes%yieldEvery == 0 {
+		runtime.Gosched()
+	}
+	b, ok := c.resume()
 	if !ok {
 		c.finished = true
 		c.time.Finish = c.eng.Now()
@@ -175,15 +203,14 @@ func (c *Core) serviceThread() {
 }
 
 // run starts the step at c.pc. Once the batch is exhausted it hands v,
-// the last step's result, back to the thread and waits for the next
+// the last step's result, back to the thread and resumes it for the next
 // batch. Each step starts inside its predecessor's completion callback —
 // where the thread, had it sent that step on its own, would have issued
 // it — so the schedule-call sequence, and with it every simulated
 // result, is the same however the thread's steps are batched.
 func (c *Core) run(v uint64) {
 	if c.pc == len(c.batch) {
-		c.batch = nil
-		c.resp <- v
+		c.batch, c.val = nil, v
 		c.serviceThread()
 		return
 	}

@@ -58,12 +58,7 @@ func runOne(t *testing.T, lat sim.Cycle, fn func(*Thread)) *Core {
 	l1 := newFakeL1(eng, lat)
 	finished := false
 	core := NewCore(eng, 0, l1, func() { finished = true })
-	core.Start()
-	th := NewThread(core, nil, sim.NewRNG(1))
-	go func() {
-		defer th.Close()
-		fn(th)
-	}()
+	core.Spawn(nil, sim.NewRNG(1), fn)
 	eng.Run(0)
 	if !finished {
 		t.Fatal("thread did not finish")
@@ -159,12 +154,9 @@ func TestSpinHelperChargesCompute(t *testing.T) {
 	eng := sim.NewEngine()
 	l1 := newFakeL1(eng, 2)
 	core := NewCore(eng, 0, l1, nil)
-	core.Start()
-	th := NewThread(core, nil, sim.NewRNG(1))
-	go func() {
-		defer th.Close()
+	core.Spawn(nil, sim.NewRNG(1), func(th *Thread) {
 		th.SpinSyncLoadUntil(0x40, func(v uint64) bool { return v == 3 })
-	}()
+	})
 	// Another event sets the value after a while (fakeL1 wakes spinners
 	// every 5 cycles regardless).
 	eng.Schedule(30, func() { l1.mem[0x40] = 3 })
@@ -211,14 +203,11 @@ func TestStoreOnlyBatchesAreCapped(t *testing.T) {
 	l1 := &capL1{fakeL1: newFakeL1(eng, 1)}
 	core := NewCore(eng, 0, l1, nil)
 	l1.core = core
-	core.Start()
-	th := NewThread(core, nil, sim.NewRNG(1))
-	go func() {
-		defer th.Close()
+	core.Spawn(nil, sim.NewRNG(1), func(th *Thread) {
 		for i := 0; i < stores; i++ {
 			th.Store(proto.Addr(i%64*proto.WordBytes), uint64(i))
 		}
-	}()
+	})
 	eng.Run(0)
 	if !core.Finished() {
 		t.Fatal("store-only thread did not finish")

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"os"
 
 	"denovosync/internal/proto"
@@ -15,21 +16,24 @@ type RegionMapper interface {
 }
 
 // Thread is the API simulated workload code is written against. A
-// Thread's methods must only be called from its own workload goroutine.
+// Thread's methods must only be called from its own body, the function
+// Spawn runs as the core's coroutine.
 //
 // Operations whose result the thread ignores — Compute, SWBackoff,
 // SetPhase, Store, SyncStore, Fence, SelfInvalidate, AcquireSignature,
 // ReleaseSignature and WaitDisturb — are batched: they queue locally and
-// return at once. The calling goroutine blocks only when it needs a value
-// back: in Load, SyncLoad, the read-modify-writes (CAS, FetchAdd,
-// TestAndSet, Exchange) and SpinSyncLoadUntil, and in Now, Epoch, Flush
-// and Close while steps are queued. A blocking call (or a full queue)
-// hands the whole queue to the core, which runs it on the engine side as
-// exactly the event chain one handshake per operation would have
-// produced, so simulated results are bit-identical to unbatched runs (see
-// EagerOps). Each batched operation is simulated in program order, with
-// its full duration: a SyncStore still completes only once globally
-// visible, and the operations after it start only then.
+// return at once. The thread yields to its core only when it needs a
+// value back: in Load, SyncLoad, the read-modify-writes (CAS, FetchAdd,
+// TestAndSet, Exchange) and SpinSyncLoadUntil, and in Now, Epoch and
+// Flush while steps are queued. A blocking call (or a full queue) yields
+// the whole queue to the core and suspends the body until the core
+// resumes it with the last step's value. The core runs the queue on the
+// engine side as exactly the event chain one handshake per operation
+// would have produced, so simulated results are bit-identical to
+// unbatched runs (see EagerOps). Each batched operation is simulated in
+// program order, with its full duration: a SyncStore still completes
+// only once globally visible, and the operations after it start only
+// then.
 //
 // Because of batching, native code that follows a batched operation runs
 // before that operation is simulated. Such code MUST call Flush before
@@ -43,6 +47,7 @@ type Thread struct {
 
 	core  *Core
 	batch []step
+	yield func([]step) bool // the coroutine's yield, bound by Spawn
 }
 
 // maxBatch bounds the queue: a thread that issues this many operations
@@ -51,13 +56,6 @@ type Thread struct {
 // only keeps store-only programs and ingested traces from queueing
 // without limit.
 const maxBatch = 64
-
-// NewThread binds a workload thread to core. regions may be nil if the
-// workload never uses regions.
-func NewThread(core *Core, regions RegionMapper, rng *sim.RNG) *Thread {
-	core.regions = regions
-	return &Thread{ID: int(core.id), RNG: rng, core: core}
-}
 
 // queue appends a step whose result the thread ignores, handing the
 // queue over when it is full (or at once under EagerOps).
@@ -68,35 +66,43 @@ func (t *Thread) queue(s step) {
 	}
 }
 
-// call appends a step whose result the thread needs and blocks until it
+// call appends a step whose result the thread needs and yields until it
 // completes, returning its value.
 func (t *Thread) call(s step) uint64 {
 	t.batch = append(t.batch, s)
 	return t.send()
 }
 
-// send hands the queued steps to the core and blocks until the last one
-// completes, returning its value. The core reads the batch only while
-// the thread is blocked here, so the buffer is reused afterwards.
+// send yields the queued steps to the core and stays suspended until the
+// last one completes, returning its value. The core reads the batch only
+// while the thread is suspended here, so the buffer is reused afterwards.
+// A thread stopped while suspended unwinds from here (see Core.Stop).
 func (t *Thread) send() uint64 {
-	t.core.ops <- t.batch
-	v := <-t.core.resp
+	if !t.yield(t.batch) {
+		panic(stopUnwind{})
+	}
 	t.batch = t.batch[:0]
-	return v
+	return t.core.val
 }
 
-// Rendezvous performs one empty handshake with the core, blocking the
-// calling goroutine until the core's cycle-0 thread-service event runs.
-// The spawner calls it before the workload function so that native code
-// ahead of the first blocking operation (including host-level access to
-// shared simulation state like the allocator) executes serialized, in
-// core order, under the engine's one-runnable-goroutine discipline —
-// instead of racing across freshly spawned workload goroutines. The
-// handshake schedules no events and charges no time, so the simulated
-// event sequence is untouched.
-func (t *Thread) Rendezvous() { t.send() }
+// stopUnwind is the panic value that unwinds a stopped thread's body;
+// the coroutine recovers it and ends quietly.
+type stopUnwind struct{}
 
-// Flush hands any queued operations to the core and blocks until they
+// ThreadPanic reports a panic in a thread body. It is re-panicked on the
+// engine goroutine, out of the core's resume call, so the run's owner can
+// recover it and fail the run (machine.RunThreads does).
+type ThreadPanic struct {
+	Core  proto.CoreID
+	Value any    // the body's panic value
+	Stack []byte // the thread's stack at the panic
+}
+
+func (p *ThreadPanic) Error() string {
+	return fmt.Sprintf("thread on core %d panicked: %v\n%s", p.Core, p.Value, p.Stack)
+}
+
+// Flush hands any queued operations to the core and yields until they
 // have been simulated. Workload code MUST call it after a batched
 // operation and before natively reading or mutating simulator internals
 // (caches, the network, memory) or host state shared across threads
@@ -111,7 +117,7 @@ func (t *Thread) Flush() {
 }
 
 // Now returns the current simulated cycle, after flushing. (Safe: the
-// engine is blocked whenever workload code runs.)
+// engine is suspended whenever workload code runs.)
 func (t *Thread) Now() sim.Cycle {
 	t.Flush()
 	return t.core.eng.Now()
@@ -261,7 +267,7 @@ func (t *Thread) WaitDisturb(addr proto.Addr, epoch uint64) {
 // Registered word until a remote access revokes the registration.
 //
 // The loop — sample Epoch, SyncLoad, test pred, WaitDisturb, repeat —
-// runs on the engine side as one step, so the thread blocks once for the
+// runs on the engine side as one step, so the thread yields once for the
 // whole spin. pred therefore runs on the engine goroutine and must be a
 // pure function of the loaded value: no side effects, no reads of state
 // that other threads change.
@@ -277,12 +283,4 @@ func (t *Thread) SpinSyncLoadUntil(addr proto.Addr, pred func(uint64) bool) uint
 		}
 	}
 	return t.call(step{kind: stepSpin, acc: proto.SyncLoad, addr: addr, pred: pred})
-}
-
-// Close ends the thread: queued operations play out, then the core
-// observes the closed op channel and records its finish time. Deferred by
-// the machine around the workload body; workload code never calls it.
-func (t *Thread) Close() {
-	t.Flush()
-	close(t.core.ops)
 }

@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"denovosync/internal/alloc"
+	"denovosync/internal/cpu"
+	"denovosync/internal/machine"
 	"denovosync/internal/sim"
 	"denovosync/internal/stats"
 )
@@ -172,6 +175,48 @@ func TestEnginePanicIsolation(t *testing.T) {
 		}
 		if got := records[r.Key()]; got == nil || got.Status != StatusOK {
 			t.Errorf("healthy run %s disturbed by the panicking one: %+v", r, got)
+		}
+	}
+}
+
+// TestEngineThreadPanicFailsOneRun: a panic on a simulated thread, not
+// on the run's own goroutine, fails only its grid point.
+func TestEngineThreadPanicFailsOneRun(t *testing.T) {
+	plan := fakePlan(3)
+	bad := plan.Runs[1].Key()
+	eng := &Engine{
+		Workers: 1,
+		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
+			if r.Key() != bad {
+				return &stats.RunStats{ExecTime: 1}, nil, nil
+			}
+			space := alloc.New()
+			w := space.AllocPadded(space.Region("data"))
+			m := machine.New(machine.Params16(), machine.MESI, space)
+			rs, err := m.Run("panic", func(th *cpu.Thread) {
+				th.FetchAdd(w, 1)
+				if th.ID == 3 {
+					panic("injected thread bug")
+				}
+				th.Compute(100)
+			})
+			return rs, nil, err
+		},
+	}
+	records, sum, err := eng.Execute(plan)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if sum.Executed != 3 || sum.Failed != 1 {
+		t.Fatalf("summary %+v: want 3 executed, 1 failed", sum)
+	}
+	rec := records[bad]
+	if rec.Status != StatusFailed || !strings.Contains(rec.Error, "injected thread bug") || !strings.Contains(rec.Error, "core 3") {
+		t.Errorf("thread panic not recorded as a failed run: %+v", rec)
+	}
+	for _, r := range plan.Runs {
+		if r.Key() != bad && records[r.Key()].Status != StatusOK {
+			t.Errorf("run %s after the panicking one did not complete: %+v", r, records[r.Key()])
 		}
 	}
 }

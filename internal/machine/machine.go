@@ -243,25 +243,37 @@ func (m *Machine) Run(name string, w Workload) (*stats.RunStats, error) {
 }
 
 // RunThreads runs a possibly heterogeneous workload: body(i) supplies the
-// function for thread i.
-func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.RunStats, error) {
+// function for thread i. A panic in a thread body fails the run with a
+// *cpu.ThreadPanic error that names the core and carries the thread's
+// stack. Whatever the outcome, every thread is stopped or finished when
+// RunThreads returns.
+func (m *Machine) RunThreads(name string, body func(i int) Workload) (rs *stats.RunStats, err error) {
 	if m.Cores != nil {
 		panic("machine: Run called twice")
 	}
 	for i := 0; i < m.Params.Cores; i++ {
-		core := cpu.NewCore(m.Eng, proto.CoreID(i), m.L1s[i], nil)
-		m.Cores = append(m.Cores, core)
-		core.Start()
+		m.Cores = append(m.Cores, cpu.NewCore(m.Eng, proto.CoreID(i), m.L1s[i], nil))
+	}
+	// Deferred first so that it runs last: it also catches a panic that a
+	// stopped thread's deferred workload code raises while unwinding.
+	defer func() {
+		if p := recover(); p != nil {
+			tp, ok := p.(*cpu.ThreadPanic)
+			if !ok {
+				panic(p)
+			}
+			rs, err = nil, fmt.Errorf("machine: %w", tp)
+		}
+	}()
+	// Every exit (success, watchdog, event limit, deadlock, panic) stops
+	// the threads that have not finished, so none outlives the run. Each
+	// stop is its own deferred call, so a panic out of one skips no other.
+	for _, core := range m.Cores {
+		defer core.Stop()
 	}
 	// Thread RNG forks happen here, host-serially in core order.
 	for i, core := range m.Cores {
-		th := cpu.NewThread(core, m.Space, m.rng.Fork())
-		fn := body(i)
-		go func() {
-			defer th.Close()
-			th.Rendezvous()
-			fn(th)
-		}()
+		core.Spawn(m.Space, m.rng.Fork(), body(i))
 	}
 	const eventLimit = 4_000_000_000
 	wallStart := time.Now()
@@ -279,7 +291,7 @@ func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.Run
 			finished, m.Params.Cores, m.Eng.Executed)
 	}
 
-	rs := &stats.RunStats{
+	rs = &stats.RunStats{
 		Protocol: m.Protocol.String(),
 		Workload: name,
 		Cores:    m.Params.Cores,
