@@ -6,7 +6,7 @@ GO ?= go
 all: check
 
 .PHONY: check
-check: vet lint build race golden claims atlas-check liveness-check fuzz-smoke fabric-smoke
+check: vet lint build race alloc golden claims atlas-check liveness-check fuzz-smoke fabric-smoke
 
 # vet also fails when any Go file is not gofmt-clean.
 .PHONY: vet
@@ -85,6 +85,13 @@ test:
 .PHONY: race
 race:
 	$(GO) test -race ./...
+
+# alloc runs the allocation-budget tests (engine schedule, network send,
+# L1 hits, the MESI and DeNovo miss paths) without the race detector: its
+# instrumentation allocates, so under `race` they skip.
+.PHONY: alloc
+alloc:
+	$(GO) test -count=1 -run 'Allocates?Nothing' ./internal/...
 
 # exp-smoke drives the kill-and-resume guarantee end to end through the
 # real CLI: interrupt a grid with -stop-after, verify the resumed

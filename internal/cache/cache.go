@@ -1,7 +1,8 @@
 // Package cache provides the storage structures shared by the protocol
 // controllers: a set-associative, LRU-replacement line array with per-word
 // state (DeNovo keeps coherence state at word granularity; MESI uses the
-// per-line state field), plus a small MSHR table.
+// per-line state field). Each protocol keeps its outstanding misses in
+// its own transaction table.
 package cache
 
 import "denovosync/internal/proto"

@@ -140,45 +140,3 @@ func TestLRUStackProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMSHRLifecycle(t *testing.T) {
-	m := NewMSHR()
-	a := proto.Addr(0x40)
-	if m.Lookup(a) != nil {
-		t.Fatal("lookup hit in empty MSHR")
-	}
-	e := m.Allocate(a)
-	e.Waiters = append(e.Waiters, func() {})
-	e.Parked = append(e.Parked, "msg")
-	if m.Len() != 1 || m.Lookup(a) != e {
-		t.Fatal("allocate/lookup broken")
-	}
-	got := m.Free(a)
-	if got != e || m.Len() != 0 {
-		t.Fatal("free broken")
-	}
-	if len(got.Waiters) != 1 || len(got.Parked) != 1 {
-		t.Fatal("freed entry lost contents")
-	}
-}
-
-func TestMSHRDoubleAllocatePanics(t *testing.T) {
-	m := NewMSHR()
-	m.Allocate(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double allocate did not panic")
-		}
-	}()
-	m.Allocate(4)
-}
-
-func TestMSHRFreeAbsentPanics(t *testing.T) {
-	m := NewMSHR()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("free of absent entry did not panic")
-		}
-	}()
-	m.Free(4)
-}

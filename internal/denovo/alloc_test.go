@@ -1,6 +1,7 @@
 package denovo
 
 import (
+	"strings"
 	"testing"
 
 	"denovosync/internal/proto"
@@ -37,5 +38,65 @@ func TestHitsAllocateNothing(t *testing.T) {
 	}
 	if got != 7 || c.PendingStoreCount() != 0 {
 		t.Fatalf("load read %d with %d stores pending, want 7 and 0", got, c.PendingStoreCount())
+	}
+}
+
+// TestRegistrationTransferAllocatesNothing: once warm, a two-core
+// SyncRMW/SyncLoad ping-pong on one word allocates nothing. Every access
+// misses, so each transfer is a registration to the registry, a forward
+// to the previous registrant and an ack back — messages, continuations,
+// transaction records and their waiter lists included.
+func TestRegistrationTransferAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	eng, reg, l1s := mini()
+	addr := proto.Addr(0x140)
+	var got uint64
+	done := func(v uint64) { got = v }
+	inc := proto.RMWOp(func(old uint64) (uint64, bool) { return old + 1, true })
+	rounds := uint64(0)
+	pingPong := func() {
+		l1s[0].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr, RMW: inc, Done: done})
+		eng.Run(0)
+		l1s[1].Access(proto.Request{Kind: proto.SyncLoad, Addr: addr, Done: done})
+		eng.Run(0)
+		rounds++
+	}
+	pingPong() // registers the word at core 1 and warms both L1s
+	pingPong()
+	misses := l1s[0].Stats().TotalMisses() + l1s[1].Stats().TotalMisses()
+	if n := testing.AllocsPerRun(100, pingPong); n != 0 {
+		t.Fatalf("a registration ping-pong allocated %.1f times per round, want 0", n)
+	}
+	if m := l1s[0].Stats().TotalMisses() + l1s[1].Stats().TotalMisses(); m != misses+2*101 {
+		t.Fatalf("%d misses in 101 rounds, want every access to transfer the registration (202)", m-misses)
+	}
+	if got != rounds || reg.OwnerOf(addr) != 1 {
+		t.Fatalf("sync read got %d after %d increments, owner %d; want equal and owner 1", got, rounds, reg.OwnerOf(addr))
+	}
+	if err := reg.Validate(l1s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateCatchesUndeliveredMessage: a message posted to an inbox and
+// never delivered fails the quiescence check.
+func TestValidateCatchesUndeliveredMessage(t *testing.T) {
+	eng, reg, l1s := mini()
+	l1s[0].Access(proto.Request{Kind: proto.SyncStore, Addr: 0x200, Value: 1, Done: func(uint64) {}})
+	eng.Run(0)
+	if err := reg.Validate(l1s); err != nil {
+		t.Fatalf("clean run failed validation: %v", err)
+	}
+	l1s[2].inbox.Post(msg{kind: mRegAck, addr: 0x200})
+	err := reg.Validate(l1s)
+	if err == nil || !strings.Contains(err.Error(), "undelivered") {
+		t.Fatalf("planted message: Validate = %v, want an undelivered-message error", err)
+	}
+	l1s[2].inbox.Free(0)
+	reg.inbox.Post(msg{kind: mReg, addr: 0x200, from: l1s[2]})
+	if err := reg.Validate(l1s); err == nil || !strings.Contains(err.Error(), "registry holds 1 undelivered") {
+		t.Fatalf("planted registry message: Validate = %v, want an undelivered-message error", err)
 	}
 }

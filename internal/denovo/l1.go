@@ -15,15 +15,17 @@ type parkedFwd struct {
 	from *L1
 }
 
-// wtxn is an outstanding word-granularity miss.
+// wtxn is an outstanding word-granularity miss. Records are recycled
+// through the L1's free list together with their list storage (see
+// allocTxn), so a miss allocates nothing once the L1 is warm.
 type wtxn struct {
 	word   proto.Addr
 	kind   proto.AccessKind
 	isReg  bool // registration (writes + sync reads) vs. plain data read
 	region proto.RegionID
 
-	waiters []func() // access retries to run after the fill/ack
-	onAck   []func() // completions that need no retry (data stores)
+	waiters []retry        // access retries to run after the fill/ack
+	onAck   []func(uint64) // data-store commits, called with 0 on the ack
 	parked  []parkedFwd
 }
 
@@ -38,7 +40,14 @@ type L1 struct {
 
 	cache   *cache.Cache
 	txns    map[proto.Addr]*wtxn
+	txnFree []*wtxn // completed transactions, for reuse (see allocTxn)
 	regions proto.RegionMapper
+
+	// inbox holds the messages in flight to this L1, including the
+	// delayed work it schedules to itself; recvFn (recv, bound once in
+	// NewL1) receives them.
+	inbox  proto.Inbox[msg]
+	recvFn func(uint64)
 
 	pendingStores int
 	drainWaiters  []func()
@@ -48,14 +57,16 @@ type L1 struct {
 	// continuation.
 	storeDoneFn func(uint64)
 
-	epochs   map[proto.Addr]uint64 // per word
+	epochs map[proto.Addr]uint64 // per word
+	// disturbs holds, per word, the WaitDisturb callbacks; a word's list
+	// keeps its storage once drained.
 	disturbs map[proto.Addr][]func()
 
 	// wbPending marks words whose eviction writeback has not been acked
 	// by the registry yet; re-registrations of those words wait (see
 	// registry.recvWB for the deadlock this prevents).
 	wbPending map[proto.Addr]bool
-	wbWaiters map[proto.Addr][]func()
+	wbWaiters map[proto.Addr][]retry
 	// wbBound records, per coherence unit, the registry serial carried by
 	// the last writeback ack. A forwarded registration stamped with an
 	// older serial was generated before that writeback serialized, so it
@@ -99,12 +110,69 @@ func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID, regions proto.Region
 		epochs:    make(map[proto.Addr]uint64),
 		disturbs:  make(map[proto.Addr][]func()),
 		wbPending: make(map[proto.Addr]bool),
-		wbWaiters: make(map[proto.Addr][]func()),
+		wbWaiters: make(map[proto.Addr][]retry),
 		wbBound:   make(map[proto.Addr]uint64),
 		incCtr:    cfg.initialIncrement(),
 	}
 	c.storeDoneFn = func(uint64) { c.storeCommitted() }
+	c.recvFn = c.recv
 	return c
+}
+
+// recv is this L1's receive function: it runs a delivered message's
+// handler, reading the message in place, and then frees its inbox slot.
+func (c *L1) recv(slot uint64) {
+	m := c.inbox.At(slot)
+	switch m.kind {
+	case mFwdDataRead:
+		c.recvFwdDataRead(m.addr, m.from)
+	case mFwdReg:
+		c.recvFwdReg(m.addr, m.akind, m.from, m.serial)
+	case mRegGrant:
+		// The registry's ack carries the committed value as of delivery.
+		c.recvRegAck(m.addr, m.akind, c.cfg.Store.Read(m.addr))
+	case mRegAck:
+		c.recvRegAck(m.addr, m.akind, m.val)
+	case mWBAck:
+		c.recvWBAck(m.addr, m.mask, m.serial)
+	case mDataFill:
+		c.recvDataFill(m.addr, m.mask, m.vals)
+	case mSendReg:
+		c.issueReg(m.addr, m.akind)
+	case mReadMiss:
+		c.issueRead(m.addr)
+	case mAnswerRead:
+		c.answerRead(m.addr, m.from)
+	case mServiceFwd:
+		c.serviceFwd(m.akind, m.from, m.addr, m.stale)
+	default:
+		panic("denovo: L1 received a registry message")
+	}
+	c.inbox.Free(slot)
+}
+
+// allocTxn returns a transaction record for word, recycled from the free
+// list when one is available.
+func (c *L1) allocTxn(word proto.Addr, kind proto.AccessKind, isReg bool, region proto.RegionID) *wtxn {
+	var t *wtxn
+	if n := len(c.txnFree); n > 0 {
+		t = c.txnFree[n-1]
+		c.txnFree = c.txnFree[:n-1]
+	} else {
+		t = &wtxn{}
+	}
+	t.word, t.kind, t.isReg, t.region = word, kind, isReg, region
+	return t
+}
+
+// freeTxn returns a completed transaction to the free list, keeping its
+// list storage and dropping what the lists referenced.
+func (c *L1) freeTxn(t *wtxn) {
+	clear(t.waiters)
+	clear(t.onAck)
+	clear(t.parked)
+	t.waiters, t.onAck, t.parked = t.waiters[:0], t.onAck[:0], t.parked[:0]
+	c.txnFree = append(c.txnFree, t)
 }
 
 // SetRegistry wires the shared registry (after construction).
@@ -141,10 +209,11 @@ func (c *L1) disturb(word proto.Addr) {
 	if len(ws) == 0 {
 		return
 	}
-	delete(c.disturbs, word)
 	for _, fn := range ws {
 		c.eng.Schedule(0, fn)
 	}
+	clear(ws)
+	c.disturbs[word] = ws[:0]
 }
 
 // OnWritesDrained calls fn once all non-blocking stores have committed.
@@ -160,10 +229,11 @@ func (c *L1) storeCommitted() {
 	c.pendingStores--
 	if c.pendingStores == 0 {
 		ws := c.drainWaiters
-		c.drainWaiters = nil
 		for _, fn := range ws {
 			c.eng.Schedule(0, fn)
 		}
+		clear(ws)
+		c.drainWaiters = ws[:0]
 	}
 }
 
@@ -271,9 +341,8 @@ func (c *L1) evict(v *cache.Line) {
 			c.wbPending[lineAddr+proto.Addr(i*proto.WordBytes)] = true
 		}
 	}
-	c.cfg.Net.Send(c.node, c.reg.NodeFor(lineAddr), proto.ClassWB, proto.DataFlits(words), func() {
-		c.reg.recvWB(lineAddr, mask, c)
-	})
+	c.cfg.Net.Send(c.node, c.reg.NodeFor(lineAddr), proto.ClassWB, proto.DataFlits(words),
+		c.reg.recvFn, c.reg.inbox.Post(msg{kind: mWB, addr: lineAddr, mask: mask, from: c}))
 }
 
 // recvWBAck unblocks registrations that waited for an eviction writeback
@@ -293,8 +362,8 @@ func (c *L1) recvWBAck(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, seria
 		ws := c.wbWaiters[word]
 		if len(ws) > 0 {
 			delete(c.wbWaiters, word)
-			for _, fn := range ws {
-				fn()
+			for _, w := range ws {
+				c.access(w.req, w.commit, w.first)
 			}
 		}
 	}
@@ -327,7 +396,7 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 	// writeback is still in flight waits for the registry's ack — the
 	// writeback must serialize before our new registration request.
 	if c.wbPending[unit] && req.Kind != proto.DataLoad {
-		c.wbWaiters[unit] = append(c.wbWaiters[unit], func() { c.access(req, commit, first) })
+		c.wbWaiters[unit] = append(c.wbWaiters[unit], retry{req: req, commit: commit, first: first})
 		return
 	}
 	widx := req.Addr.WordIndex()
@@ -389,11 +458,11 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		if t := c.txns[unit]; t != nil {
 			// A registration for this unit is already in flight (an
 			// earlier store); ride on it.
-			t.onAck = append(t.onAck, func() { commit(0) })
+			t.onAck = append(t.onAck, commit)
 			return
 		}
-		t := &wtxn{word: unit, kind: req.Kind, isReg: true, region: req.Region}
-		t.onAck = append(t.onAck, func() { commit(0) })
+		t := c.allocTxn(unit, req.Kind, true, req.Region)
+		t.onAck = append(t.onAck, commit)
 		c.txns[unit] = t
 		c.sendReg(t, 0)
 		return
@@ -415,11 +484,11 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 			c.stats.Miss(req.Kind)
 		}
 		if t := c.txns[unit]; t != nil {
-			t.waiters = append(t.waiters, func() { c.access(req, commit, false) })
+			t.waiters = append(t.waiters, retry{req: req, commit: commit})
 			return
 		}
-		t := &wtxn{word: unit, kind: req.Kind, isReg: true, region: req.Region}
-		t.waiters = append(t.waiters, func() { c.access(req, commit, false) })
+		t := c.allocTxn(unit, req.Kind, true, req.Region)
+		t.waiters = append(t.waiters, retry{req: req, commit: commit})
 		c.txns[unit] = t
 		// DeNovoSync: a sync read to Valid state stalls for the backoff
 		// counter before issuing its miss (§4.2.1). Reads to Invalid state
@@ -468,11 +537,11 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 			c.stats.Miss(req.Kind)
 		}
 		if t := c.txns[unit]; t != nil {
-			t.waiters = append(t.waiters, func() { c.access(req, commit, false) })
+			t.waiters = append(t.waiters, retry{req: req, commit: commit})
 			return
 		}
-		t := &wtxn{word: unit, kind: req.Kind, isReg: true, region: req.Region}
-		t.waiters = append(t.waiters, func() { c.access(req, commit, false) })
+		t := c.allocTxn(unit, req.Kind, true, req.Region)
+		t.waiters = append(t.waiters, retry{req: req, commit: commit})
 		c.txns[unit] = t
 		// Sync writes are never delayed by backoff (§4.2.4).
 		c.sendReg(t, 0)
@@ -484,29 +553,32 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 // sendReg issues a registration request after the L1 access latency plus
 // any hardware-backoff stall.
 func (c *L1) sendReg(t *wtxn, stall sim.Cycle) {
-	c.eng.Schedule(c.cfg.L1AccessLat+stall, func() {
-		c.cfg.Net.Send(c.node, c.reg.NodeFor(t.word), regClass(t.kind), proto.CtrlFlits, func() {
-			c.reg.recvReg(t.word, t.kind, c)
-		})
-	})
+	c.eng.ScheduleCall(c.cfg.L1AccessLat+stall, c.recvFn, c.inbox.Post(msg{kind: mSendReg, addr: t.word, akind: t.kind}))
+}
+
+// issueReg sends word's registration request to its registry bank.
+func (c *L1) issueReg(word proto.Addr, kind proto.AccessKind) {
+	c.cfg.Net.Send(c.node, c.reg.NodeFor(word), regClass(kind), proto.CtrlFlits,
+		c.reg.recvFn, c.reg.inbox.Post(msg{kind: mReg, addr: word, akind: kind, from: c}))
 }
 
 // readMiss issues a plain data-read request (no registration).
 func (c *L1) readMiss(req proto.Request, commit func(uint64), first bool) {
 	word := req.Addr.Word()
-	retry := func() { c.access(req, commit, false) }
 	if t := c.txns[word]; t != nil {
-		t.waiters = append(t.waiters, retry)
+		t.waiters = append(t.waiters, retry{req: req, commit: commit})
 		return
 	}
-	t := &wtxn{word: word, kind: req.Kind, region: req.Region}
-	t.waiters = append(t.waiters, retry)
+	t := c.allocTxn(word, req.Kind, false, req.Region)
+	t.waiters = append(t.waiters, retry{req: req, commit: commit})
 	c.txns[word] = t
-	c.eng.Schedule(c.cfg.L1AccessLat, func() {
-		c.cfg.Net.Send(c.node, c.reg.NodeFor(word), proto.ClassLD, proto.CtrlFlits, func() {
-			c.reg.recvDataRead(word, c)
-		})
-	})
+	c.eng.ScheduleCall(c.cfg.L1AccessLat, c.recvFn, c.inbox.Post(msg{kind: mReadMiss, addr: word}))
+}
+
+// issueRead sends word's data-read request to its registry bank.
+func (c *L1) issueRead(word proto.Addr) {
+	c.cfg.Net.Send(c.node, c.reg.NodeFor(word), proto.ClassLD, proto.CtrlFlits,
+		c.reg.recvFn, c.reg.inbox.Post(msg{kind: mDataRead, addr: word, from: c}))
 }
 
 // regionOf resolves a word's region via the global software map.
@@ -550,8 +622,9 @@ func (c *L1) finishTxn(lineAddr proto.Addr, mask [proto.WordsPerLine]bool) {
 		}
 		delete(c.txns, word)
 		for _, w := range t.waiters {
-			w()
+			c.access(w.req, w.commit, w.first)
 		}
+		c.freeTxn(t)
 	}
 }
 
@@ -562,32 +635,35 @@ func (c *L1) finishTxn(lineAddr proto.Addr, mask [proto.WordsPerLine]bool) {
 // likely want them next — e.g. a data structure rebalanced wholesale by
 // the previous lock holder).
 func (c *L1) recvFwdDataRead(word proto.Addr, from *L1) {
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
-		c.observe(c.wordState(word), "recvFwdDataRead")
-		lineAddr := word.Line()
-		var mask [proto.WordsPerLine]bool
-		var vals [proto.WordsPerLine]uint64
-		words := 0
-		if l := c.cache.Lookup(word); l != nil {
-			for i, st := range l.WordState {
-				if st == wr {
-					mask[i] = true
-					vals[i] = c.cfg.Store.Read(lineAddr + proto.Addr(i*proto.WordBytes))
-					words++
-				}
+	c.eng.ScheduleCall(c.cfg.RemoteL1Lat, c.recvFn, c.inbox.Post(msg{kind: mAnswerRead, addr: word, from: from}))
+}
+
+// answerRead answers a forwarded data read once the remote-L1 access
+// latency has passed (see recvFwdDataRead).
+func (c *L1) answerRead(word proto.Addr, from *L1) {
+	c.observe(c.wordState(word), "recvFwdDataRead")
+	lineAddr := word.Line()
+	var mask [proto.WordsPerLine]bool
+	var vals [proto.WordsPerLine]uint64
+	words := 0
+	if l := c.cache.Lookup(word); l != nil {
+		for i, st := range l.WordState {
+			if st == wr {
+				mask[i] = true
+				vals[i] = c.cfg.Store.Read(lineAddr + proto.Addr(i*proto.WordBytes))
+				words++
 			}
 		}
-		if !mask[word.WordIndex()] {
-			// Stale forward (the word was evicted): the committed image is
-			// authoritative.
-			mask[word.WordIndex()] = true
-			vals[word.WordIndex()] = c.cfg.Store.Read(word)
-			words++
-		}
-		c.cfg.Net.Send(c.node, from.node, proto.ClassLD, proto.DataFlits(words), func() {
-			from.recvDataFill(lineAddr, mask, vals)
-		})
-	})
+	}
+	if !mask[word.WordIndex()] {
+		// Stale forward (the word was evicted): the committed image is
+		// authoritative.
+		mask[word.WordIndex()] = true
+		vals[word.WordIndex()] = c.cfg.Store.Read(word)
+		words++
+	}
+	c.cfg.Net.Send(c.node, from.node, proto.ClassLD, proto.DataFlits(words),
+		from.recvFn, from.inbox.Post(msg{kind: mDataFill, addr: lineAddr, mask: mask, vals: vals}))
 }
 
 // recvRegAck completes this L1's own registration: the word becomes
@@ -626,15 +702,16 @@ func (c *L1) recvRegAck(word proto.Addr, kind proto.AccessKind, val uint64) {
 	}
 	// Data stores already committed locally at issue; sync retries now hit
 	// in Registered state and commit in serialization order.
-	for _, fn := range t.onAck {
-		fn()
+	for _, commit := range t.onAck {
+		commit(0)
 	}
 	for _, w := range t.waiters {
-		w()
+		c.access(w.req, w.commit, w.first)
 	}
 	for _, p := range t.parked {
 		c.serviceFwd(p.kind, p.from, word, false)
 	}
+	c.freeTxn(t)
 }
 
 // recvFwdReg handles a registration request forwarded by the registry to
@@ -662,9 +739,7 @@ func (c *L1) recvFwdReg(word proto.Addr, kind proto.AccessKind, from *L1, serial
 		t.parked = append(t.parked, parkedFwd{kind: kind, from: from})
 		return
 	}
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
-		c.serviceFwd(kind, from, word, stale)
-	})
+	c.eng.ScheduleCall(c.cfg.RemoteL1Lat, c.recvFn, c.inbox.Post(msg{kind: mServiceFwd, addr: word, akind: kind, from: from, stale: stale}))
 }
 
 // serviceFwd relinquishes this core's registration of word to from:
@@ -693,9 +768,8 @@ func (c *L1) serviceFwd(kind proto.AccessKind, from *L1, word proto.Addr, stale 
 		}
 	}
 	v := c.cfg.Store.Read(word)
-	c.cfg.Net.Send(c.node, from.node, regClass(kind), c.ackFlits(kind), func() {
-		from.recvRegAck(word, kind, v)
-	})
+	c.cfg.Net.Send(c.node, from.node, regClass(kind), c.ackFlits(kind),
+		from.recvFn, from.inbox.Post(msg{kind: mRegAck, addr: word, akind: kind, val: v}))
 }
 
 // ackFlits sizes this L1's registration-ack responses: value-carrying

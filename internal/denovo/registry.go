@@ -30,7 +30,7 @@ type regLine struct {
 	resident bool
 	fetching bool
 	owner    [proto.WordsPerLine]int16
-	pending  []func() // requests that arrived during the cold fetch
+	pending  []msg // requests that arrived during the cold fetch (see awaitResident)
 	// serial counts this line's serialized ownership events (registrations
 	// and writebacks). Forwarded registrations and writeback acks carry the
 	// stamp so an L1 can order a late-delivered forward against its own
@@ -85,6 +85,12 @@ type Registry struct {
 	lines []map[proto.Addr]*regLine
 	l1s   []*L1
 
+	// inbox holds the messages in flight to the registry, including the
+	// delayed work it schedules to itself; recvFn (recv, bound once in
+	// NewRegistry) receives them.
+	inbox  proto.Inbox[msg]
+	recvFn func(uint64)
+
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
 	obs TransitionObserver
@@ -96,7 +102,34 @@ func NewRegistry(cfg *Config, tiles int) *Registry {
 	for i := range r.lines {
 		r.lines[i] = make(map[proto.Addr]*regLine)
 	}
+	r.recvFn = r.recv
 	return r
+}
+
+// recv is the registry's receive function: it runs a delivered
+// message's handler, reading the message in place, and then frees its
+// inbox slot.
+func (r *Registry) recv(slot uint64) {
+	m := r.inbox.At(slot)
+	switch m.kind {
+	case mDataRead:
+		r.recvDataRead(m.addr, m.from)
+	case mReg:
+		r.recvReg(m.addr, m.akind, m.from)
+	case mWB:
+		r.recvWB(m.addr, m.mask, m.from)
+	case mDataReadL2:
+		r.serveDataRead(m.addr, m.from)
+	case mRegL2:
+		r.serveReg(m.addr, m.akind, m.from)
+	case mWBL2:
+		r.serveWB(m.addr, m.mask, m.from)
+	case mFetched:
+		r.fetched(m.addr)
+	default:
+		panic("denovo: registry received an L1 message")
+	}
+	r.inbox.Free(slot)
 }
 
 // SetL1s wires the L1 controllers (after construction).
@@ -132,118 +165,134 @@ func (r *Registry) forEachLine(fn func(proto.Addr, *regLine)) {
 	}
 }
 
-// withResident runs fn once the line is resident, fetching it from memory
-// on first touch. Requests arriving mid-fetch queue in arrival order, so
-// per-word serialization (the single point the protocol relies on for
-// write and read-registration ordering) is preserved.
-func (r *Registry) withResident(word proto.Addr, class proto.MsgClass, fn func(*regLine)) {
-	e := r.line(word)
-	if e.resident {
-		fn(e)
-		return
-	}
-	e.pending = append(e.pending, func() { fn(e) })
+// awaitResident parks m behind e's cold fetch from memory, starting the
+// fetch unless one is already in flight. Requests arriving mid-fetch
+// queue in arrival order and are delivered again in that order once the
+// line is resident (fetched), so per-word serialization (the single point
+// the protocol relies on for write and read-registration ordering) is
+// preserved.
+func (r *Registry) awaitResident(e *regLine, m msg, class proto.MsgClass) {
+	e.pending = append(e.pending, m)
 	if e.fetching {
 		return
 	}
 	e.fetching = true
-	r.cfg.DRAM.Fetch(r.NodeFor(word), word.Line(), class, func() {
-		e.resident = true
-		e.fetching = false
-		ps := e.pending
-		e.pending = nil
-		for _, p := range ps {
-			p()
-		}
-	})
+	r.cfg.DRAM.Fetch(r.NodeFor(m.addr), m.addr.Line(), class, r.recvFn, r.inbox.Post(msg{kind: mFetched, addr: m.addr}))
 }
 
-// recvDataRead services a data-load miss: if the registry owns the word it
-// responds with every word of the line it owns (DeNovo responses carry
+// fetched makes word's line resident and delivers every request that
+// waited for it.
+func (r *Registry) fetched(word proto.Addr) {
+	e := r.line(word)
+	e.resident = true
+	e.fetching = false
+	ps := e.pending
+	e.pending = nil
+	for _, p := range ps {
+		r.recv(r.inbox.Post(p))
+	}
+}
+
+// recvDataRead services a data-load miss after the L2 access latency (see
+// serveDataRead).
+func (r *Registry) recvDataRead(word proto.Addr, from *L1) {
+	r.cfg.Eng.ScheduleCall(r.cfg.L2AccessLat, r.recvFn, r.inbox.Post(msg{kind: mDataReadL2, addr: word, from: from}))
+}
+
+// serveDataRead services a data-load miss: if the registry owns the word
+// it responds with every word of the line it owns (DeNovo responses carry
 // only valid data, §7.1.1); otherwise it forwards to the registered core,
 // which answers directly (and stays registered — data reads do not steal).
-func (r *Registry) recvDataRead(word proto.Addr, from *L1) {
-	r.cfg.Eng.Schedule(r.cfg.L2AccessLat, func() {
-		r.withResident(word, proto.ClassLD, func(e *regLine) {
-			node := r.NodeFor(word)
-			st := e.ownerState(word, from)
-			r.observe(st, "recvDataRead")
-			switch st {
-			case roL2, roSelf:
-				// Registry-owned (or a stale self-pointer): respond with
-				// every registry-owned word of the line.
-				line := word.Line()
-				var mask [proto.WordsPerLine]bool
-				var vals [proto.WordsPerLine]uint64
-				words := 0
-				for i := range e.owner {
-					if e.owner[i] == ownerL2 {
-						mask[i] = true
-						vals[i] = r.cfg.Store.Read(line + proto.Addr(i*proto.WordBytes))
-						words++
-					}
-				}
-				// Guarantee the requested word is in the response even in
-				// the stale-owner corner (the committed image is always
-				// current).
-				if !mask[word.WordIndex()] {
-					mask[word.WordIndex()] = true
-					vals[word.WordIndex()] = r.cfg.Store.Read(word)
-					words++
-				}
-				r.cfg.Net.Send(node, from.node, proto.ClassLD, proto.DataFlits(words), func() {
-					from.recvDataFill(line, mask, vals)
-				})
-			case roOther:
-				prev := r.l1s[e.owner[word.WordIndex()]]
-				r.cfg.Net.Send(node, prev.node, proto.ClassLD, proto.CtrlFlits, func() {
-					prev.recvFwdDataRead(word, from)
-				})
+func (r *Registry) serveDataRead(word proto.Addr, from *L1) {
+	e := r.line(word)
+	if !e.resident {
+		r.awaitResident(e, msg{kind: mDataReadL2, addr: word, from: from}, proto.ClassLD)
+		return
+	}
+	node := r.NodeFor(word)
+	st := e.ownerState(word, from)
+	r.observe(st, "recvDataRead")
+	switch st {
+	case roL2, roSelf:
+		// Registry-owned (or a stale self-pointer): respond with every
+		// registry-owned word of the line.
+		line := word.Line()
+		var mask [proto.WordsPerLine]bool
+		var vals [proto.WordsPerLine]uint64
+		words := 0
+		for i := range e.owner {
+			if e.owner[i] == ownerL2 {
+				mask[i] = true
+				vals[i] = r.cfg.Store.Read(line + proto.Addr(i*proto.WordBytes))
+				words++
 			}
-		})
-	})
+		}
+		// Guarantee the requested word is in the response even in the
+		// stale-owner corner (the committed image is always current).
+		if !mask[word.WordIndex()] {
+			mask[word.WordIndex()] = true
+			vals[word.WordIndex()] = r.cfg.Store.Read(word)
+			words++
+		}
+		r.cfg.Net.Send(node, from.node, proto.ClassLD, proto.DataFlits(words),
+			from.recvFn, from.inbox.Post(msg{kind: mDataFill, addr: line, mask: mask, vals: vals}))
+	case roOther:
+		prev := r.l1s[e.owner[word.WordIndex()]]
+		r.cfg.Net.Send(node, prev.node, proto.ClassLD, proto.CtrlFlits,
+			prev.recvFn, prev.inbox.Post(msg{kind: mFwdDataRead, addr: word, from: from}))
+	}
 }
 
 // recvReg services a registration request (data write, sync write, sync
 // RMW, or sync read — the paper's single-reader rule makes sync reads
-// register too). The registry is non-blocking: it updates the registrant
-// immediately and forwards the request to the previous one, never queuing
-// a transaction (§4.1).
+// register too) after the L2 access latency (see serveReg).
 //
 //atlas:unreachable denovo.Registry roSelf recvReg: the writeback-ack gate (recvWB) orders a re-registration after the evictor's writeback serialized, and that writeback either released the words or found them re-registered elsewhere — the registry never still names the re-registrant
 func (r *Registry) recvReg(word proto.Addr, kind proto.AccessKind, from *L1) {
-	class := regClass(kind)
-	r.cfg.Eng.Schedule(r.cfg.L2AccessLat, func() {
-		r.withResident(word, class, func(e *regLine) {
-			node := r.NodeFor(word)
-			st := e.ownerState(word, from)
-			r.observeReg(st, kind)
-			e.serial++
-			seq := e.serial
-			prev := e.owner[word.WordIndex()]
-			// The whole coherence unit changes hands (a single word at the
-			// paper's granularity).
-			e.register(r.cfg, word, from.id)
-			switch st {
-			case roL2, roSelf:
-				// Registry-owned (or a re-registration after an in-flight
-				// writeback): ack directly with the committed value.
-				flits := r.ackFlits(kind)
-				r.cfg.Net.Send(node, from.node, class, flits, func() {
-					from.recvRegAck(word, kind, r.cfg.Store.Read(word))
-				})
-			case roOther:
-				prevL1 := r.l1s[prev]
-				r.cfg.Net.Send(node, prevL1.node, class, proto.CtrlFlits, func() {
-					prevL1.recvFwdReg(word, kind, from, seq)
-				})
-			}
-		})
-	})
+	r.cfg.Eng.ScheduleCall(r.cfg.L2AccessLat, r.recvFn, r.inbox.Post(msg{kind: mRegL2, addr: word, akind: kind, from: from}))
 }
 
-// recvWB retires an eviction writeback: every word still registered to the
-// writer returns to registry ownership. Writebacks that raced a newer
+// serveReg serializes a registration. The registry is non-blocking: it
+// updates the registrant immediately and forwards the request to the
+// previous one, never queuing a transaction (§4.1).
+func (r *Registry) serveReg(word proto.Addr, kind proto.AccessKind, from *L1) {
+	class := regClass(kind)
+	e := r.line(word)
+	if !e.resident {
+		r.awaitResident(e, msg{kind: mRegL2, addr: word, akind: kind, from: from}, class)
+		return
+	}
+	node := r.NodeFor(word)
+	st := e.ownerState(word, from)
+	r.observeReg(st, kind)
+	e.serial++
+	seq := e.serial
+	prev := e.owner[word.WordIndex()]
+	// The whole coherence unit changes hands (a single word at the
+	// paper's granularity).
+	e.register(r.cfg, word, from.id)
+	switch st {
+	case roL2, roSelf:
+		// Registry-owned (or a re-registration after an in-flight
+		// writeback): ack directly with the committed value.
+		flits := r.ackFlits(kind)
+		r.cfg.Net.Send(node, from.node, class, flits,
+			from.recvFn, from.inbox.Post(msg{kind: mRegGrant, addr: word, akind: kind}))
+	case roOther:
+		prevL1 := r.l1s[prev]
+		r.cfg.Net.Send(node, prevL1.node, class, proto.CtrlFlits,
+			prevL1.recvFn, prevL1.inbox.Post(msg{kind: mFwdReg, addr: word, akind: kind, from: from, serial: seq}))
+	}
+}
+
+// recvWB retires an eviction writeback after the L2 access latency (see
+// serveWB).
+func (r *Registry) recvWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, from *L1) {
+	r.cfg.Eng.ScheduleCall(r.cfg.L2AccessLat, r.recvFn, r.inbox.Post(msg{kind: mWBL2, addr: lineAddr, mask: mask, from: from}))
+}
+
+// serveWB retires an eviction writeback: every word still registered to
+// the writer returns to registry ownership. Writebacks that raced a newer
 // registration are simply stale for those words (the newer registrant's
 // request was serialized first) and ignored. The ack gates the evictor's
 // re-registration of the same words: without it, a forwarded registration
@@ -257,32 +306,32 @@ func (r *Registry) recvReg(word proto.Addr, kind proto.AccessKind, from *L1) {
 // even find the word back in registry ownership (roL2): the evictor's
 // writeback lingers in the mesh while another core registers, evicts,
 // and has its own writeback release the word first.
-func (r *Registry) recvWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, from *L1) {
-	r.cfg.Eng.Schedule(r.cfg.L2AccessLat, func() {
-		// The writeback must serialize through the same queue as other
-		// requests: a WB arriving during the line's cold fetch would
-		// otherwise be processed before the registration it follows
-		// (dropping it leaves a dangling ownership pointer — a bug the
-		// end-of-run validator caught).
-		r.withResident(lineAddr, proto.ClassWB, func(e *regLine) {
-			e.serial++
-			seq := e.serial
-			for i, m := range mask {
-				if !m {
-					continue
-				}
-				word := lineAddr + proto.Addr(i*proto.WordBytes)
-				st := e.ownerState(word, from)
-				r.observe(st, "recvWB")
-				if st == roSelf {
-					e.release(word)
-				}
-			}
-			r.cfg.Net.Send(r.NodeFor(lineAddr), from.node, proto.ClassWB, proto.CtrlFlits, func() {
-				from.recvWBAck(lineAddr, mask, seq)
-			})
-		})
-	})
+//
+// The writeback serializes through the same queue as other requests: a
+// WB arriving during the line's cold fetch would otherwise be processed
+// before the registration it follows (dropping it leaves a dangling
+// ownership pointer — a bug the end-of-run validator caught).
+func (r *Registry) serveWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, from *L1) {
+	e := r.line(lineAddr)
+	if !e.resident {
+		r.awaitResident(e, msg{kind: mWBL2, addr: lineAddr, mask: mask, from: from}, proto.ClassWB)
+		return
+	}
+	e.serial++
+	seq := e.serial
+	for i, m := range mask {
+		if !m {
+			continue
+		}
+		word := lineAddr + proto.Addr(i*proto.WordBytes)
+		st := e.ownerState(word, from)
+		r.observe(st, "recvWB")
+		if st == roSelf {
+			e.release(word)
+		}
+	}
+	r.cfg.Net.Send(r.NodeFor(lineAddr), from.node, proto.ClassWB, proto.CtrlFlits,
+		from.recvFn, from.inbox.Post(msg{kind: mWBAck, addr: lineAddr, mask: mask, serial: seq}))
 }
 
 // OwnerOf exposes the registered core for tests (-1 = registry).

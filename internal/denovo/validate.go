@@ -18,10 +18,20 @@ import (
 //     would strand requests);
 //   - Registered word values match the committed image;
 //   - no outstanding transactions, parked forwards, or pending
-//     writeback acks remain.
+//     writeback acks remain;
+//   - every controller's inbox is empty: each message sent was delivered.
 func (r *Registry) Validate(l1s []*L1) error {
+	if n := r.inbox.Len(); n != 0 {
+		return fmt.Errorf("denovo: registry holds %d undelivered messages at quiescence", n)
+	}
+	if d := r.cfg.DRAM; d != nil && d.InFlight() != 0 {
+		return fmt.Errorf("denovo: %d memory fetches unanswered at quiescence", d.InFlight())
+	}
 	owners := map[proto.Addr][]proto.CoreID{}
 	for _, c := range l1s {
+		if n := c.inbox.Len(); n != 0 {
+			return fmt.Errorf("denovo: L1 %d holds %d undelivered messages at quiescence", c.id, n)
+		}
 		if len(c.txns) != 0 {
 			return fmt.Errorf("denovo: L1 %d has %d outstanding transactions at quiescence", c.id, len(c.txns))
 		}

@@ -5,7 +5,7 @@
 // simulator imports, so lint analyzers may depend on it) and produces,
 // for every (controller, state, event) tuple, the possible next states,
 // the helper actions invoked, the messages sent (named by the remote
-// handler the network callback invokes), and the source position.
+// handler the message's kind reaches), and the source position.
 //
 // The atlas is checked in as golden JSON (docs/atlas/{mesi,denovo}.json)
 // and consumed three ways:

@@ -67,18 +67,17 @@ var specs = map[string][]ControllerSpec{
 }
 
 // excludeActions are protocol-package/cache-package methods that are
-// reads, naming helpers, or plumbing — not transition actions.
+// reads, naming helpers, or plumbing — not transition actions. The
+// receive function is the message table itself, and allocTxn/freeTxn
+// recycle transaction records.
 var excludeActions = map[string]bool{
 	"Lookup": true, "NodeFor": true, "Stats": true, "OwnerOf": true,
 	"StateOf": true, "unitOf": true, "unitWords": true, "ackFlits": true,
 	"backoffMask": true, "regionOf": true, "entry": true, "line": true,
 	"ownerState": true, "wordState": true, "lineState": true,
 	"regClass": true, "initialIncrement": true, "Epoch": true,
+	ReceiveMethod: true, "allocTxn": true, "freeTxn": true,
 }
-
-// descendCalls have a trailing func() that runs in the SAME controller
-// context (latency/residency plumbing): the walker descends into it.
-var descendCalls = map[string]bool{"Schedule": true, "withResident": true, "Fetch": true}
 
 // Specs returns the controller specs for one protocol package ("mesi",
 // "denovo"), the authoritative handler registry the atlas and the
@@ -88,11 +87,6 @@ func Specs(protocol string) []ControllerSpec {
 	copy(out, specs[protocol])
 	return out
 }
-
-// DescendCall reports whether a call named name carries a trailing
-// closure running in the same controller context (Schedule/withResident/
-// Fetch), so cross-analyzer walkers descend consistently.
-func DescendCall(name string) bool { return descendCalls[name] }
 
 // ExcludedAction reports whether a method name is a pure read/naming
 // helper rather than a transition action, so cross-analyzer call graphs
@@ -112,12 +106,21 @@ func Extract(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 	if !ok {
 		return nil, fmt.Errorf("atlas: no controller specs for package %s", pkg.Path())
 	}
+	var recvs []string
+	for _, spec := range cs {
+		recvs = append(recvs, spec.Recv)
+	}
+	msgs, err := NewMsgTable(files, pkg, info, recvs)
+	if err != nil {
+		return nil, err
+	}
 	a := &Atlas{Protocol: protocol, States: map[string][]string{}}
 	for _, spec := range cs {
 		ex, err := newExtractor(fset, pkg, info, spec)
 		if err != nil {
 			return nil, err
 		}
+		ex.files, ex.msgs = files, msgs
 		a.States[spec.Controller] = ex.stateNames
 		for _, h := range spec.Handlers {
 			fn := findMethod(files, spec.Recv, h)
@@ -125,6 +128,9 @@ func Extract(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 				return nil, fmt.Errorf("atlas: handler %s.%s not found in %s", spec.Recv, h, pkg.Path())
 			}
 			ex.extractHandler(h, fn)
+		}
+		if ex.err != nil {
+			return nil, ex.err
 		}
 		a.Transitions = append(a.Transitions, ex.finalize()...)
 	}
@@ -196,10 +202,19 @@ type draft struct {
 
 // extractor holds per-controller state for one Extract run.
 type extractor struct {
-	fset *token.FileSet
-	pkg  *types.Package
-	info *types.Info
-	spec ControllerSpec
+	fset  *token.FileSet
+	pkg   *types.Package
+	info  *types.Info
+	spec  ControllerSpec
+	files []*ast.File
+	msgs  *MsgTable
+
+	// defs holds the locals of the function the walk is in (a handler,
+	// or a continuation walked inline): message kinds resolve through
+	// them.
+	defs  map[types.Object][]ast.Expr
+	depth int   // continuation nesting
+	err   error // first unresolvable message kind
 
 	stateType  types.Type
 	stateNames []string          // declaration (value) order
@@ -334,6 +349,7 @@ func (ex *extractor) posString(p token.Pos) string {
 // extractHandler walks one handler body and accumulates drafts.
 func (ex *extractor) extractHandler(event string, fn *ast.FuncDecl) {
 	ex.event = event
+	ex.defs = LocalDefs(ex.info, fn)
 	res := ex.walkStmts(fn.Body.List, nil, nil, newAtoms())
 	ds := res.drafts
 	// The fall-through path of the handler is itself a tuple context,

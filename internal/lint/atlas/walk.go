@@ -1,6 +1,7 @@
 package atlas
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -34,7 +35,7 @@ func (ex *extractor) walkStmts(stmts []ast.Stmt, states, kinds map[string]bool, 
 			}
 		}
 	}
-	absorb := func(sub walkResult) { // pass-through sub-region (loop, callback, ...)
+	absorb := func(sub walkResult) { // pass-through sub-region (loop, continuation, ...)
 		r.drafts = append(r.drafts, sub.drafts...)
 		add(sub.pass)
 	}
@@ -237,30 +238,74 @@ func caseValues(ex *extractor, clauses []ast.Stmt, typ types.Type) map[string]bo
 	return all
 }
 
-// simpleStmt processes a non-branching statement: descend into
-// same-context callbacks (Schedule/withResident/Fetch), record Net.Send
-// targets, and collect atoms.
+// simpleStmt processes a non-branching statement: record the handlers
+// its Sends reach, walk the continuations it schedules, and collect
+// atoms.
 func (ex *extractor) simpleStmt(stmt ast.Stmt, states, kinds map[string]bool, add func(atoms), r *walkResult) {
-	handled := map[*ast.FuncLit]bool{}
-	ex.scanSpecials(stmt, func(call *ast.CallExpr, name string, fn *ast.FuncLit) {
-		handled[fn] = true
-		if name == "Send" {
+	ex.scanSites(stmt, func(call *ast.CallExpr, site SiteKind, lit *ast.CompositeLit) {
+		arms, ok := ex.msgs.Arms(lit, ex.defs)
+		if !ok {
+			if ex.err == nil {
+				ex.err = fmt.Errorf("atlas: %s: message kind does not resolve to %s constants", ex.posString(lit.Pos()), MsgKindType)
+			}
+			return
+		}
+		if site == SendSite {
 			a := newAtoms()
-			ex.sendTargets(fn, a.sends)
+			for _, arm := range arms {
+				for _, name := range arm.Methods {
+					a.sends[name] = true
+				}
+			}
 			add(a)
 			return
 		}
-		sub := ex.walkStmts(fn.Body.List, states, kinds, r.pass)
-		r.drafts = append(r.drafts, sub.drafts...)
-		add(sub.pass)
+		// A continuation: the arm runs later in this controller. An arm
+		// that calls another handler is that call (an action); any other
+		// arm method is this handler's code, walked in place.
+		for _, arm := range arms {
+			for _, name := range arm.Methods {
+				fn := findMethod(ex.files, arm.Recv, name)
+				if ex.isHandler(name) || fn == nil || ex.depth > 4 {
+					a := newAtoms()
+					a.actions[name] = true
+					add(a)
+					continue
+				}
+				sub := ex.walkInline(fn, states, kinds, r.pass)
+				r.drafts = append(r.drafts, sub.drafts...)
+				add(sub.pass)
+			}
+		}
 	})
-	add(ex.collectAtoms(stmt, handled))
+	add(ex.collectAtoms(stmt))
 }
 
-// scanSpecials finds the outermost descend/Send calls carrying a trailing
-// FuncLit, without entering any FuncLit (nested specials are found by the
-// recursive sub-walk).
-func (ex *extractor) scanSpecials(n ast.Node, f func(*ast.CallExpr, string, *ast.FuncLit)) {
+// walkInline walks a continuation method's body as part of the current
+// handler, resolving message kinds through its own locals.
+func (ex *extractor) walkInline(fn *ast.FuncDecl, states, kinds map[string]bool, seed atoms) walkResult {
+	saved := ex.defs
+	ex.defs = LocalDefs(ex.info, fn)
+	ex.depth++
+	res := ex.walkStmts(fn.Body.List, states, kinds, seed)
+	ex.depth--
+	ex.defs = saved
+	return res
+}
+
+// isHandler reports whether name is one of the controller's handlers.
+func (ex *extractor) isHandler(name string) bool {
+	for _, h := range ex.spec.Handlers {
+		if h == name {
+			return true
+		}
+	}
+	return false
+}
+
+// scanSites finds the outermost calls carrying a message literal — Sends
+// and continuations — without entering function literals.
+func (ex *extractor) scanSites(n ast.Node, f func(*ast.CallExpr, SiteKind, *ast.CompositeLit)) {
 	ast.Inspect(n, func(node ast.Node) bool {
 		if _, ok := node.(*ast.FuncLit); ok {
 			return false
@@ -269,42 +314,9 @@ func (ex *extractor) scanSpecials(n ast.Node, f func(*ast.CallExpr, string, *ast
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		name := sel.Sel.Name
-		if name != "Send" && !descendCalls[name] {
-			return true
-		}
-		fn, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		f(call, name, fn)
-		// Non-callback args may hold further calls (rare); the callback
-		// itself was dispatched above.
-		for _, a := range call.Args[:len(call.Args)-1] {
-			ex.scanSpecials(a, f)
-		}
-		return false
-	})
-}
-
-// sendTargets records the protocol-package methods a Net.Send callback
-// invokes (the remote handlers the message reaches).
-func (ex *extractor) sendTargets(fn *ast.FuncLit, out map[string]bool) {
-	ast.Inspect(fn.Body, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if ex.recvPkg(sel) == ex.pkg {
-			out[sel.Sel.Name] = true
+		if site, lit := ex.msgs.Site(call); site != NoSite {
+			f(call, site, lit)
+			return false
 		}
 		return true
 	})
@@ -328,16 +340,17 @@ func (ex *extractor) recvPkg(sel *ast.SelectorExpr) *types.Package {
 	return n.Obj().Pkg()
 }
 
-// collectAtoms gathers next-states, sends (none here — Send is handled
-// by simpleStmt), and actions from one statement, skipping FuncLits,
-// comparisons, and observe hooks.
-func (ex *extractor) collectAtoms(stmt ast.Stmt, handledFns map[*ast.FuncLit]bool) atoms {
+// collectAtoms gathers next-states and actions from one statement (sends
+// are simpleStmt's), skipping FuncLits, comparisons, and observe hooks.
+// An action is a method call on a protocol or cache type; a call through
+// a function-typed field or variable is not.
+func (ex *extractor) collectAtoms(stmt ast.Stmt) atoms {
 	a := newAtoms()
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
-			return false // stored closures / handled callbacks
+			return false // stored closures
 		case *ast.BinaryExpr:
 			if v.Op == token.EQL || v.Op == token.NEQ {
 				return false // comparisons are guards, not transitions
@@ -366,8 +379,9 @@ func (ex *extractor) collectAtoms(stmt ast.Stmt, handledFns map[*ast.FuncLit]boo
 					return false
 				}
 				pkg := ex.recvPkg(sel)
-				if pkg != nil && (pkg == ex.pkg || pkg.Path() == cachePkg) &&
-					!excludeActions[name] && !descendCalls[name] && name != "Send" {
+				s, isMethod := ex.info.Selections[sel]
+				isMethod = isMethod && s.Kind() == types.MethodVal
+				if isMethod && pkg != nil && (pkg == ex.pkg || pkg.Path() == cachePkg) && !excludeActions[name] {
 					a.actions[name] = true
 				}
 			}

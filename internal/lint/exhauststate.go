@@ -14,8 +14,8 @@ import (
 // all declared constants of that type, or carries an explicit panicking
 // default. State types are recognized by convention: a defined (named)
 // type whose name ends in "State" (case-insensitive) — cache.LineState,
-// cache.WordState, cache.MSHRState, mesi's dirState, the verify models'
-// meCoreState/meDirState/dnWordState. The required constant set is the
+// cache.WordState, mesi's dirState, denovo's regOwnerState, the verify
+// models' meCoreState/meDirState/dnWordState. The required constant set is the
 // union of constants of that type declared in the type's defining package
 // and in the analyzed package (protocol packages declare their own
 // constants of cache-owned types, e.g. mesi's li/ls/le/lm).

@@ -271,7 +271,7 @@ func (fr *answerFrame) coversEnum(tag ast.Expr, caseConsts []string) bool {
 
 // answersExpr reports whether evaluating e answers the request: a Send
 // mentioning the requester, a park (append-to-chain) mentioning it, a
-// covered same-context callback, or a propagated helper call.
+// continuation whose arm answers it, or a propagated helper call.
 func (fr *answerFrame) answersExpr(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -286,21 +286,17 @@ func (fr *answerFrame) answersExpr(e ast.Expr) bool {
 			}
 		}
 	}
+	switch site, lit := p.msgs.Site(call); site {
+	case atlas.SendSite:
+		return p.mentionsObj(call, fr.req)
+	case atlas.ContSite:
+		return fr.continuationAnswers(lit)
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	name := sel.Sel.Name
-	if name == "Send" && len(call.Args) > 0 {
-		if _, isLit := call.Args[len(call.Args)-1].(*ast.FuncLit); isLit {
-			return p.mentionsObj(call, fr.req)
-		}
-	}
-	if fr.isDescend(name, call) {
-		fn := call.Args[len(call.Args)-1].(*ast.FuncLit)
-		r := fr.list(fn.Body.List, false)
-		return r.ok && (!r.falls || r.answered)
-	}
 	// Same-controller helper call propagating the requester.
 	if recv := p.recvControllerName(sel); recv == fr.m.recvName {
 		callee := p.methodByRecv(recv, name)
@@ -314,36 +310,65 @@ func (fr *answerFrame) answersExpr(e ast.Expr) bool {
 
 func (fr *answerFrame) p() *pkgModel { return fr.ck.p }
 
-func (fr *answerFrame) isDescend(name string, call *ast.CallExpr) bool {
-	if !atlas.DescendCall(name) || len(call.Args) == 0 {
+// continuationAnswers reports whether a message the controller schedules
+// to itself carries the requester into an arm that answers it on all
+// paths: every kind the literal can hold must have an arm call whose
+// arguments read the requester-carrying fields, and whose callee answers.
+func (fr *answerFrame) continuationAnswers(lit *ast.CompositeLit) bool {
+	p := fr.ck.p
+	fields := atlas.FieldsMentioning(lit, func(e ast.Expr) bool { return p.mentionsObj(e, fr.req) })
+	arms, ok := p.msgs.Arms(lit, fr.defs)
+	if len(fields) == 0 || !ok || len(arms) == 0 {
 		return false
 	}
-	_, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-	return ok
+	for _, arm := range arms {
+		answered := false
+		for i, call := range arm.Calls {
+			callee := p.methodByRecv(arm.Recv, arm.Methods[i])
+			if callee == nil {
+				continue
+			}
+			var idxs []int
+			for j, a := range call.Args {
+				if arm.ReadsFields(p.info, a, fields) {
+					idxs = append(idxs, j)
+				}
+			}
+			if fr.ck.answersVia(callee, idxs) {
+				answered = true
+			}
+		}
+		if !answered {
+			return false
+		}
+	}
+	return true
 }
 
 // propagates reports whether a helper call forwards the requester into
-// the callee and the callee answers it on all paths. Memoized per
-// (callee, forwarded-parameter set); in-progress recursion is
-// conservatively "not answered".
+// the callee and the callee answers it on all paths.
 func (ck *answerCheck) propagates(callee *method, call *ast.CallExpr, req map[types.Object]bool, p *pkgModel) bool {
-	params := flatParams(p, callee.decl)
-	if len(params) == 0 {
-		return false
-	}
 	var idxs []int
-	calleeReq := map[types.Object]bool{}
-	n := len(call.Args)
-	if n > len(params) {
-		n = len(params)
-	}
-	for i := 0; i < n; i++ {
-		if p.mentionsObj(call.Args[i], req) {
+	for i, a := range call.Args {
+		if p.mentionsObj(a, req) {
 			idxs = append(idxs, i)
+		}
+	}
+	return ck.answersVia(callee, idxs)
+}
+
+// answersVia reports whether callee answers, on all paths, the requester
+// it receives in the parameters at idxs. Memoized per (callee, parameter
+// set); in-progress recursion is conservatively "not answered".
+func (ck *answerCheck) answersVia(callee *method, idxs []int) bool {
+	params := flatParams(ck.p, callee.decl)
+	calleeReq := map[types.Object]bool{}
+	for _, i := range idxs {
+		if i < len(params) {
 			calleeReq[params[i]] = true
 		}
 	}
-	if len(idxs) == 0 {
+	if len(calleeReq) == 0 {
 		return false
 	}
 	keyParts := make([]string, len(idxs))

@@ -29,8 +29,8 @@ type Package struct {
 // Spec is the full certification target.
 type Spec []Package
 
-// target is one method invoked inside a Send callback: the remote
-// handler the message reaches.
+// target is one handler a Send's message reaches (through the message
+// table).
 type target struct {
 	typeName string // receiver type name ("L1", "Registry")
 	method   string
@@ -132,6 +132,14 @@ type pkgModel struct {
 	// bound maps each continuation field bound exactly once, in a New*
 	// constructor, to the controller methods its binding calls.
 	bound map[*types.Var]*boundCont
+
+	// msgs is the package's message table (see atlas.MsgTable).
+	msgs *atlas.MsgTable
+	// inlining guards continuation methods walked in place against
+	// recursion.
+	inlining map[*method]bool
+	// err is the first message literal whose kind does not resolve.
+	err error
 }
 
 // boundCont is a continuation field's fixed binding: a method value, or a
@@ -168,6 +176,7 @@ func extractPackage(fset *token.FileSet, files []*ast.File, tpkg *types.Package,
 		funcDecls:   map[string]*ast.FuncDecl{},
 		assumed:     map[string]string{},
 		bound:       map[*types.Var]*boundCont{},
+		inlining:    map[*method]bool{},
 	}
 	for _, c := range spec.Controllers {
 		p.controllers[c.Recv] = c
@@ -181,6 +190,15 @@ func extractPackage(fset *token.FileSet, files []*ast.File, tpkg *types.Package,
 		}
 		p.recvTypes[c.Recv] = n
 	}
+	var recvs []string
+	for _, c := range spec.Controllers {
+		recvs = append(recvs, c.Recv)
+	}
+	msgs, err := atlas.NewMsgTable(files, tpkg, info, recvs)
+	if err != nil {
+		return nil, err
+	}
+	p.msgs = msgs
 	p.scanStructs()
 	p.scanAssumes()
 	for _, f := range files {
@@ -205,6 +223,9 @@ func extractPackage(fset *token.FileSet, files []*ast.File, tpkg *types.Package,
 	p.scanBoundContinuations()
 	for _, m := range p.methods {
 		p.extractMethod(m)
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return p, nil
 }
@@ -278,7 +299,11 @@ func (p *pkgModel) continuationCallees(e ast.Expr) *boundCont {
 		return recv, sel.Sel.Name
 	}
 	if recv, name := method(e); recv != "" {
-		return &boundCont{recv: recv, callees: []string{name}}
+		b := &boundCont{recv: recv}
+		if interestingCallee(name) {
+			b.callees = []string{name}
+		}
+		return b
 	}
 	lit, ok := e.(*ast.FuncLit)
 	if !ok || len(lit.Body.List) == 0 {
@@ -502,35 +527,9 @@ func (p *pkgModel) resolveFieldExpr(e ast.Expr, localDefs map[types.Object][]ast
 	return nil
 }
 
-// localDefs collects ident := expr / ident = expr definitions in fn.
-func (p *pkgModel) localDefs(fn *ast.FuncDecl) map[types.Object][]ast.Expr {
-	defs := map[types.Object][]ast.Expr{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := p.info.Defs[id]
-			if obj == nil {
-				obj = p.info.Uses[id]
-			}
-			if obj != nil {
-				defs[obj] = append(defs[obj], as.Rhs[i])
-			}
-		}
-		return true
-	})
-	return defs
-}
-
 // extractMethod walks one method body and fills its fact lists.
 func (p *pkgModel) extractMethod(m *method) {
-	defs := p.localDefs(m.decl)
+	defs := p.localDefsCache(m)
 	p.walkFacts(m, m.decl.Body.List, defs, nil)
 	p.scanBackoff(m, defs)
 	p.scanResourceOps(m, defs)
@@ -613,7 +612,7 @@ func (p *pkgModel) walkFactsStmt(m *method, stmt ast.Stmt, defs map[types.Object
 		}
 	default:
 		// Every other statement: scan contained expressions for sends,
-		// descend callbacks, and local calls.
+		// continuations, and local calls.
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			e, ok := n.(ast.Expr)
 			if !ok {
@@ -627,7 +626,7 @@ func (p *pkgModel) walkFactsStmt(m *method, stmt ast.Stmt, defs map[types.Object
 	}
 }
 
-// factsInExpr records sends, descend-callback bodies, and local calls
+// factsInExpr records sends, continuations, and local calls
 // found in e. Returns true if e was fully handled (no deeper scan
 // needed).
 func (p *pkgModel) factsInExpr(m *method, e ast.Expr, defs map[types.Object][]ast.Expr, conds []ast.Expr) bool {
@@ -646,55 +645,75 @@ func (p *pkgModel) factsInExpr(m *method, e ast.Expr, defs map[types.Object][]as
 	if !ok {
 		return false
 	}
+	if site, lit := p.msgs.Site(call); site != atlas.NoSite {
+		p.messageFacts(m, call, site, lit, defs, conds)
+		return true
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	name := sel.Sel.Name
-	if name == "Send" && len(call.Args) > 0 {
-		if fn, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
-			site := &sendSite{pos: call.Pos()}
-			site.classes = p.resolveClasses(classArg(p, call), m.decl, defs, 0)
-			site.targets = p.sendTargets(fn)
-			m.sends = append(m.sends, site)
-			// Non-callback args may carry further calls.
-			for _, a := range call.Args[:len(call.Args)-1] {
-				ast.Inspect(a, func(n ast.Node) bool {
-					if ie, ok := n.(ast.Expr); ok && p.factsInExpr(m, ie, defs, conds) {
-						return false
-					}
-					return true
-				})
-			}
-			return true
-		}
-	}
-	if atlas.DescendCall(name) && len(call.Args) > 0 {
-		if fn, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
-			// A controller-method descend call (withResident) is also a
-			// local call edge: its own body runs in the callee.
-			if recv := p.recvControllerName(sel); recv == m.recvName && interestingCallee(name) {
-				if p.methodByRecv(recv, name) != nil {
-					m.calls = append(m.calls, &callSite{pos: call.Pos(), callee: name})
-				}
-			}
-			// Same-context callback: walk its body as part of this method.
-			p.walkFacts(m, fn.Body.List, defs, conds)
-			for _, a := range call.Args[:len(call.Args)-1] {
-				ast.Inspect(a, func(n ast.Node) bool {
-					if ie, ok := n.(ast.Expr); ok && p.factsInExpr(m, ie, defs, conds) {
-						return false
-					}
-					return true
-				})
-			}
-			return true
-		}
-	}
 	// Same-controller local call.
 	if recv := p.recvControllerName(sel); recv == m.recvName && interestingCallee(name) {
 		if p.methodByRecv(recv, name) != nil {
 			m.calls = append(m.calls, &callSite{pos: call.Pos(), callee: name})
+		}
+	}
+	return false
+}
+
+// messageFacts records a call carrying a message literal. A Send is a
+// message edge to each handler its kind can reach, with the network
+// classes the call can use. A continuation — a message the controller
+// schedules to itself — runs its arm in this method's context: an arm
+// calling a declared handler is a local call edge to it, and any other
+// arm method is walked in place, as this method's own code.
+func (p *pkgModel) messageFacts(m *method, call *ast.CallExpr, site atlas.SiteKind, lit *ast.CompositeLit, defs map[types.Object][]ast.Expr, conds []ast.Expr) {
+	arms, ok := p.msgs.Arms(lit, defs)
+	if !ok {
+		if p.err == nil {
+			p.err = fmt.Errorf("liveness: %s: message kind does not resolve to %s constants", p.posString(lit.Pos()), atlas.MsgKindType)
+		}
+		return
+	}
+	if site == atlas.SendSite {
+		s := &sendSite{pos: call.Pos(), classes: p.resolveClasses(classArg(p, call), m.decl, defs, 0)}
+		for _, arm := range arms {
+			for _, name := range arm.Methods {
+				if interestingCallee(name) && p.methodByRecv(arm.Recv, name) != nil {
+					s.targets = append(s.targets, target{typeName: arm.Recv, method: name})
+				}
+			}
+		}
+		m.sends = append(m.sends, s)
+		return
+	}
+	for _, arm := range arms {
+		for _, name := range arm.Methods {
+			callee := p.methodByRecv(arm.Recv, name)
+			if callee == nil || !interestingCallee(name) {
+				continue
+			}
+			if p.isHandler(arm.Recv, name) {
+				m.calls = append(m.calls, &callSite{pos: call.Pos(), callee: name})
+				continue
+			}
+			if p.inlining[callee] {
+				continue
+			}
+			p.inlining[callee] = true
+			p.walkFacts(m, callee.decl.Body.List, p.localDefsCache(callee), conds)
+			delete(p.inlining, callee)
+		}
+	}
+}
+
+// isHandler reports whether recv.name is a declared handler.
+func (p *pkgModel) isHandler(recv, name string) bool {
+	for _, h := range p.controllers[recv].Handlers {
+		if h == name {
+			return true
 		}
 	}
 	return false
@@ -731,32 +750,10 @@ func interestingCallee(name string) bool {
 	return !atlas.ExcludedAction(name)
 }
 
-// sendTargets collects the controller methods a Send callback invokes.
-func (p *pkgModel) sendTargets(fn *ast.FuncLit) []target {
-	var out []target
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if recv := p.recvControllerName(sel); recv != "" && interestingCallee(sel.Sel.Name) {
-			if p.methodByRecv(recv, sel.Sel.Name) != nil {
-				out = append(out, target{typeName: recv, method: sel.Sel.Name})
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // classArg picks the message-class argument of a Send call: the first
 // argument whose static type is a named type ending in "Class".
 func classArg(p *pkgModel, call *ast.CallExpr) ast.Expr {
-	for _, a := range call.Args[:len(call.Args)-1] {
+	for _, a := range call.Args {
 		tv, ok := p.info.Types[a]
 		if !ok || tv.Type == nil {
 			continue
@@ -987,7 +984,7 @@ func (p *pkgModel) scanResourceOps(m *method, defs map[types.Object][]ast.Expr) 
 // localDefsCache memoizes localDefs per method.
 func (p *pkgModel) localDefsCache(m *method) map[types.Object][]ast.Expr {
 	if m.defsCache == nil {
-		m.defsCache = p.localDefs(m.decl)
+		m.defsCache = atlas.LocalDefs(p.info, m.decl)
 	}
 	return m.defsCache
 }

@@ -298,3 +298,46 @@ func TestCertificateByteStable(t *testing.T) {
 		t.Fatalf("two regenerations differ byte-for-byte")
 	}
 }
+
+// TestTypedMessageEdges: a send's kind resolves through a local to both
+// handlers it can reach, and the self-posted continuation's arm method
+// (issue, not a declared handler) is walked as Access's own code, so the
+// message edges start at Access and issue is no node of its own.
+func TestTypedMessageEdges(t *testing.T) {
+	g := fixtureGraph(t, "cont", []liveness.Controller{
+		{Name: "cont.Ctl", Recv: "Ctl", Handlers: []string{"recvA", "recvB"}},
+	})
+	for _, f := range g.Findings {
+		t.Errorf("finding: %s", f)
+	}
+	want := map[string]bool{"cont.Ctl.recvA": false, "cont.Ctl.recvB": false}
+	for _, e := range g.Edges {
+		if e.From == "cont.Ctl.Access" && e.Kind == "message" && e.Class == "ClassLD" {
+			if _, ok := want[e.To]; ok {
+				want[e.To] = true
+			}
+		}
+	}
+	for to, seen := range want {
+		if !seen {
+			t.Errorf("no ClassLD message edge cont.Ctl.Access -> %s: %+v", to, g.Edges)
+		}
+	}
+	for _, n := range g.Nodes {
+		if n.ID == "cont.Ctl.issue" || n.ID == "cont.Ctl.recv" {
+			t.Errorf("node %s: continuations and the receive function are not graph nodes", n.ID)
+		}
+	}
+}
+
+// TestUnresolvedMessageKindFails: a message whose kind no constant
+// names cannot be mapped to a handler, so extraction fails instead of
+// silently dropping the send.
+func TestUnresolvedMessageKindFails(t *testing.T) {
+	_, err := liveness.ExtractDir(filepath.Join("testdata", "livefix"), liveness.Spec{
+		{Path: "livefix/badkind", Controllers: []liveness.Controller{{Name: "badkind.Ctl", Recv: "Ctl", Handlers: []string{"recvA"}}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "does not resolve") || !strings.Contains(err.Error(), "badkind.go:") {
+		t.Fatalf("ExtractDir(badkind) = %v, want an unresolved-kind error at badkind.go", err)
+	}
+}

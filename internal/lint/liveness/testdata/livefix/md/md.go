@@ -10,9 +10,30 @@ type Class int
 
 const ClassWB Class = 0
 
+// Net stands in for the network: Send delivers a message by calling the
+// destination's receive function with the message's inbox slot.
 type Net struct{}
 
-func (n *Net) Send(from, to int, cls Class, flits int, fn func()) { fn() }
+func (n *Net) Send(from, to int, cls Class, flits int, recv func(uint64), slot uint64) { recv(slot) }
+
+// Inbox holds a controller's in-flight messages.
+type Inbox[M any] struct{ slots []M }
+
+func (b *Inbox[M]) Post(m M) uint64 {
+	b.slots = append(b.slots, m)
+	return uint64(len(b.slots) - 1)
+}
+
+func (b *Inbox[M]) Take(slot uint64) M { return b.slots[slot] }
+
+type msgKind int
+
+const mAck msgKind = 0 // writeback ack to the L1
+
+type msg struct {
+	kind msgKind
+	line int
+}
 
 type entry struct {
 	state int
@@ -20,7 +41,20 @@ type entry struct {
 	busy  bool
 }
 
-type L1 struct{ node int }
+type L1 struct {
+	node   int
+	inbox  Inbox[msg]
+	recvFn func(uint64)
+}
+
+// recv is the L1's receive function: the message table.
+func (c *L1) recv(slot uint64) {
+	m := c.inbox.Take(slot)
+	switch m.kind {
+	case mAck:
+		c.recvAck(m.line)
+	}
+}
 
 func (c *L1) recvAck(line int) {}
 
@@ -38,7 +72,7 @@ func (d *Dir) recvPut(line int, from *L1) {
 		e.state = 0
 		e.owner = nil
 	}
-	d.net.Send(d.node, from.node, ClassWB, 1, func() { from.recvAck(line) })
+	d.net.Send(d.node, from.node, ClassWB, 1, from.recvFn, from.inbox.Post(msg{kind: mAck, line: line}))
 }
 
 // recvDrop silently drops the request while the entry is busy.
@@ -47,5 +81,5 @@ func (d *Dir) recvDrop(line int, from *L1) {
 	if e.busy {
 		return
 	}
-	d.net.Send(d.node, from.node, ClassWB, 1, func() { from.recvAck(line) })
+	d.net.Send(d.node, from.node, ClassWB, 1, from.recvFn, from.inbox.Post(msg{kind: mAck, line: line}))
 }

@@ -59,11 +59,39 @@ type DRAM struct {
 	// controller's counter is incremented only by the delivery event that
 	// runs at that controller.
 	accesses [noc.NumMemCtrl]uint64
+
+	// inbox holds the fetches in flight; recvFn (recv, bound once in
+	// NewDRAM) receives them.
+	inbox  proto.Inbox[msg]
+	recvFn func(uint64)
+}
+
+// msgKind names the step a fetch is at.
+type msgKind uint8
+
+const (
+	mArrive msgKind = iota // the request reached its memory controller
+	mServed                // the DRAM access latency has elapsed
+)
+
+// msg is one fetch in flight: the bank that asked, the line, the traffic
+// class of the triggering transaction, and the bank controller's
+// continuation — its receive function and the slot of the message it
+// gets back when the data arrives.
+type msg struct {
+	kind  msgKind
+	bank  proto.NodeID
+	line  proto.Addr
+	class proto.MsgClass
+	done  func(uint64)
+	slot  uint64
 }
 
 // NewDRAM builds the memory model on net.
 func NewDRAM(eng *sim.Engine, net *noc.Network, accessLatency sim.Cycle) *DRAM {
-	return &DRAM{eng: eng, net: net, AccessLatency: accessLatency}
+	d := &DRAM{eng: eng, net: net, AccessLatency: accessLatency}
+	d.recvFn = d.recv
+	return d
 }
 
 // ControllerFor returns the memory controller node serving line.
@@ -76,35 +104,37 @@ func ctrlIndex(line proto.Addr) int {
 	return int(line/proto.LineBytes) % noc.NumMemCtrl
 }
 
-// Fetch simulates an L2 bank at node bank fetching line from memory,
-// calling done when the line data arrives back at the bank. class controls
-// which traffic bucket the two messages land in (the class of the
-// triggering transaction). isWrite selects request-only traffic shape for
-// writebacks to memory (data travels toward the controller instead).
-func (d *DRAM) Fetch(bank proto.NodeID, line proto.Addr, class proto.MsgClass, done func()) {
-	mc := d.ControllerFor(line)
-	idx := ctrlIndex(line)
-	d.net.Send(bank, mc, class, proto.CtrlFlits, func() {
-		d.accesses[idx]++
-		d.eng.Schedule(d.AccessLatency, func() {
-			d.net.Send(mc, bank, class, proto.LineDataFlits, done)
-		})
-	})
+// Fetch simulates an L2 bank at node bank fetching line from memory. When
+// the line data arrives back at the bank it calls done(slot): done is the
+// bank controller's receive function and slot the message it posted to
+// its own inbox for the arrival. class controls which traffic bucket the
+// two messages land in (the class of the triggering transaction).
+func (d *DRAM) Fetch(bank proto.NodeID, line proto.Addr, class proto.MsgClass, done func(uint64), slot uint64) {
+	m := msg{kind: mArrive, bank: bank, line: line, class: class, done: done, slot: slot}
+	d.net.Send(bank, d.ControllerFor(line), class, proto.CtrlFlits, d.recvFn, d.inbox.Post(m))
 }
 
-// WriteBack simulates flushing a dirty line from an L2 bank to memory.
-func (d *DRAM) WriteBack(bank proto.NodeID, line proto.Addr, done func()) {
-	mc := d.ControllerFor(line)
-	idx := ctrlIndex(line)
-	d.net.Send(bank, mc, proto.ClassWB, proto.LineDataFlits, func() {
-		d.accesses[idx]++
-		d.eng.Schedule(d.AccessLatency, func() {
-			if done != nil {
-				d.net.Send(mc, bank, proto.ClassWB, proto.CtrlFlits, done)
-			}
-		})
-	})
+// recv is the memory controllers' receive function: a request that
+// reached its controller counts an access and waits out the DRAM
+// latency in the same slot, then the line travels back to the bank.
+func (d *DRAM) recv(slot uint64) {
+	m := d.inbox.At(slot)
+	switch m.kind {
+	case mArrive:
+		d.accesses[ctrlIndex(m.line)]++
+		m.kind = mServed
+		d.eng.ScheduleCall(d.AccessLatency, d.recvFn, slot)
+	case mServed:
+		d.net.Send(d.ControllerFor(m.line), m.bank, m.class, proto.LineDataFlits, m.done, m.slot)
+		d.inbox.Free(slot)
+	default:
+		panic("mem: unknown DRAM message")
+	}
 }
+
+// InFlight returns the number of fetches the memory controllers have not
+// answered yet: zero at quiescence.
+func (d *DRAM) InFlight() int { return d.inbox.Len() }
 
 // Accesses returns the number of DRAM requests serviced, summed over the
 // controllers in index order.

@@ -46,12 +46,19 @@ func TestDRAMFetchTiming(t *testing.T) {
 	net := noc.New(eng, noc.Mesh{W: 4, H: 4}, 10, 3)
 	d := NewDRAM(eng, net, 169)
 	var at sim.Cycle
+	var slot uint64
 	// Bank at tile 0 (corner, same router as controller 0), line 0:
 	// round trip = 0 hops + 169 + 0 hops.
-	d.Fetch(0, 0, proto.ClassLD, func() { at = eng.Now() })
+	d.Fetch(0, 0, proto.ClassLD, func(s uint64) { at, slot = eng.Now(), s }, 42)
+	if d.InFlight() != 1 {
+		t.Fatalf("in flight after Fetch = %d, want 1", d.InFlight())
+	}
 	eng.Run(0)
-	if at != 169 {
-		t.Fatalf("corner fetch completed at %d, want 169", at)
+	if at != 169 || slot != 42 {
+		t.Fatalf("corner fetch completed at %d with slot %d, want 169 and 42", at, slot)
+	}
+	if d.InFlight() != 0 {
+		t.Fatalf("in flight after the fetch = %d, want 0", d.InFlight())
 	}
 	if d.Accesses() != 1 {
 		t.Fatalf("accesses = %d", d.Accesses())
@@ -68,20 +75,5 @@ func TestDRAMControllerInterleave(t *testing.T) {
 	}
 	if len(seen) != noc.NumMemCtrl {
 		t.Fatalf("lines map to %d controllers, want %d", len(seen), noc.NumMemCtrl)
-	}
-}
-
-func TestDRAMWriteBack(t *testing.T) {
-	eng := sim.NewEngine()
-	net := noc.New(eng, noc.Mesh{W: 4, H: 4}, 10, 3)
-	d := NewDRAM(eng, net, 169)
-	done := false
-	d.WriteBack(5, 0, func() { done = true })
-	eng.Run(0)
-	if !done {
-		t.Fatal("writeback ack never arrived")
-	}
-	if tr := net.Traffic()[proto.ClassWB]; tr == 0 {
-		t.Fatal("writeback produced no WB traffic")
 	}
 }

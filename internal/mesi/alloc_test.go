@@ -1,6 +1,7 @@
 package mesi
 
 import (
+	"strings"
 	"testing"
 
 	"denovosync/internal/proto"
@@ -37,5 +38,76 @@ func TestHitsAllocateNothing(t *testing.T) {
 	}
 	if got != 7 || c.PendingStoreCount() != 0 {
 		t.Fatalf("load read %d with %d stores pending, want 7 and 0", got, c.PendingStoreCount())
+	}
+}
+
+// TestMissesAllocateNothing: once warm, the MESI miss paths allocate
+// nothing. Each round two cores join the sharers of a line, a GetM from
+// core 0 invalidates the three sharers (the acks are collected at the
+// requester), and core 1's read is forwarded to core 0, the new owner —
+// messages, continuations, transaction records, waiter lists and the
+// sharer set included.
+func TestMissesAllocateNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	eng, dir, l1s := mini()
+	addr := proto.Addr(0x140)
+	var got uint64
+	done := func(v uint64) { got = v }
+	inc := proto.RMWOp(func(old uint64) (uint64, bool) { return old + 1, true })
+	rounds := uint64(0)
+	round := func() {
+		for _, c := range l1s[1:] {
+			c.Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: done})
+		}
+		eng.Run(0)
+		l1s[0].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr, RMW: inc, Done: done})
+		eng.Run(0)
+		l1s[1].Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: done})
+		eng.Run(0)
+		rounds++
+	}
+	round() // cold fetch; warms every L1 and the directory
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a sharer/GetM/forwarded-GetS round allocated %.1f times, want 0", n)
+	}
+	if got != rounds {
+		t.Fatalf("forwarded read got %d after %d increments", got, rounds)
+	}
+	if st, owner, sharers, busy := dir.StateOf(addr.Line()); st != byte(ds) || owner != -1 || sharers != 2 || busy {
+		t.Fatalf("after a round: state %d owner %d sharers %d busy %t, want ds with cores 0 and 1", st, owner, sharers, busy)
+	}
+	// Per round: core 0's GetM, core 1's forwarded read, and the reads of
+	// cores 2 and 3 (core 1 still shares the line when a round starts,
+	// except the first).
+	for i, want := range []uint64{rounds, rounds + 1, rounds, rounds} {
+		if got := l1s[i].Stats().TotalMisses(); got != want {
+			t.Fatalf("core %d missed %d times in %d rounds, want %d", i, got, rounds, want)
+		}
+	}
+	if err := dir.Validate(l1s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateCatchesUndeliveredMessage: a message posted to an inbox and
+// never delivered fails the quiescence check.
+func TestValidateCatchesUndeliveredMessage(t *testing.T) {
+	eng, dir, l1s := mini()
+	l1s[0].Access(proto.Request{Kind: proto.DataLoad, Addr: 0x200, Done: func(uint64) {}})
+	eng.Run(0)
+	if err := dir.Validate(l1s); err != nil {
+		t.Fatalf("clean run failed validation: %v", err)
+	}
+	l1s[3].inbox.Post(msg{kind: mInvAck, addr: 0x200})
+	if err := dir.Validate(l1s); err == nil || !strings.Contains(err.Error(), "L1 3 holds 1 undelivered") {
+		t.Fatalf("planted message: Validate = %v, want an undelivered-message error", err)
+	}
+	l1s[3].inbox.Free(0)
+	dir.inbox.Post(msg{kind: mUnblock, addr: 0x200})
+	if err := dir.Validate(l1s); err == nil || !strings.Contains(err.Error(), "directory holds 1 undelivered") {
+		t.Fatalf("planted directory message: Validate = %v, want an undelivered-message error", err)
 	}
 }

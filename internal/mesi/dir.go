@@ -1,8 +1,6 @@
 package mesi
 
 import (
-	"sort"
-
 	"denovosync/internal/proto"
 )
 
@@ -28,7 +26,7 @@ type dirEntry struct {
 	state    dirState
 	owner    *L1
 	epoch    uint64 // bumped per exclusive grant; Puts return it (see recvPut)
-	sharers  map[*L1]bool
+	sharers  proto.CoreSet
 	busy     bool
 	needAcks int // completion messages outstanding for the current txn
 	queue    []dirPending
@@ -44,6 +42,15 @@ type Directory struct {
 	// L2 bank is tile b, and is touched only by events running at that
 	// tile.
 	entries []map[proto.Addr]*dirEntry
+	// l1s indexes the L1s by core ID (registered by L1.SetDirectory), so
+	// sharer sets can hold core IDs.
+	l1s []*L1
+
+	// inbox holds the messages in flight to the directory, including the
+	// delayed work it schedules to itself; recvFn (recv, bound once in
+	// NewDirectory) receives them.
+	inbox  proto.Inbox[msg]
+	recvFn func(uint64)
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
@@ -56,7 +63,34 @@ func NewDirectory(cfg *Config, tiles int) *Directory {
 	for i := range d.entries {
 		d.entries[i] = make(map[proto.Addr]*dirEntry)
 	}
+	d.recvFn = d.recv
 	return d
+}
+
+// recv is the directory's receive function: it runs a delivered
+// message's handler, reading the message in place, and then frees its
+// inbox slot.
+func (d *Directory) recv(slot uint64) {
+	m := d.inbox.At(slot)
+	switch m.kind {
+	case mGetS:
+		d.recvGetS(m.addr, m.req)
+	case mGetM:
+		d.recvGetM(m.addr, m.req)
+	case mUnblock:
+		d.recvUnblock(m.addr)
+	case mOwnerAck:
+		d.recvOwnerAck(m.addr)
+	case mPut:
+		d.recvPut(m.addr, m.req, m.dirty, m.epoch)
+	case mStart:
+		d.start(m.addr, dirPending{m.req, m.wantM})
+	case mFetched:
+		d.fetched(m.addr, dirPending{m.req, m.wantM})
+	default:
+		panic("mesi: directory received an L1 message")
+	}
+	d.inbox.Free(slot)
 }
 
 // NodeFor returns the tile node hosting line's L2 bank.
@@ -83,7 +117,7 @@ func (d *Directory) entry(line proto.Addr) *dirEntry {
 	bank := d.entries[int(line/proto.LineBytes)%d.tiles]
 	e := bank[line]
 	if e == nil {
-		e = &dirEntry{sharers: make(map[*L1]bool)}
+		e = &dirEntry{}
 		bank[line] = e
 	}
 	return e
@@ -103,23 +137,36 @@ func (d *Directory) maybeStart(line proto.Addr, e *dirEntry) {
 		return
 	}
 	p := e.queue[0]
-	e.queue = e.queue[1:]
+	// Shift the queue down rather than reslicing past its head, so that
+	// the slice keeps its capacity and enqueueing allocates nothing.
+	copy(e.queue, e.queue[1:])
+	e.queue = e.queue[:len(e.queue)-1]
 	e.busy = true
-	class := proto.ClassLD
-	if p.wantM {
-		class = proto.ClassST
-	}
 	// Directory/L2 access latency, then a cold fetch if needed.
-	d.cfg.Eng.Schedule(d.cfg.L2AccessLat, func() {
-		if !e.resident {
-			d.cfg.DRAM.Fetch(d.NodeFor(line), line, class, func() {
-				e.resident = true
-				d.service(line, e, p)
-			})
-			return
+	d.cfg.Eng.ScheduleCall(d.cfg.L2AccessLat, d.recvFn, d.inbox.Post(msg{kind: mStart, addr: line, req: p.req, wantM: p.wantM}))
+}
+
+// start runs the transaction p once the L2 access latency has passed,
+// fetching the line from memory first on its first touch.
+func (d *Directory) start(line proto.Addr, p dirPending) {
+	e := d.entry(line)
+	if !e.resident {
+		class := proto.ClassLD
+		if p.wantM {
+			class = proto.ClassST
 		}
-		d.service(line, e, p)
-	})
+		d.cfg.DRAM.Fetch(d.NodeFor(line), line, class, d.recvFn, d.inbox.Post(msg{kind: mFetched, addr: line, req: p.req, wantM: p.wantM}))
+		return
+	}
+	d.service(line, e, p)
+}
+
+// fetched makes line resident once its cold fetch arrives and runs the
+// transaction that waited for it.
+func (d *Directory) fetched(line proto.Addr, p dirPending) {
+	e := d.entry(line)
+	e.resident = true
+	d.service(line, e, p)
 }
 
 // service dispatches the transaction at the head of the line's queue to
@@ -147,26 +194,25 @@ func (d *Directory) serviceGetS(line proto.Addr, e *dirEntry, req *L1) {
 		e.epoch++
 		e.busy = false
 		ep := e.epoch
-		d.cfg.Net.Send(node, req.node, proto.ClassLD, proto.LineDataFlits, func() {
-			req.recvData(line, 0, true, false, ep)
-		})
+		d.cfg.Net.Send(node, req.node, proto.ClassLD, proto.LineDataFlits,
+			req.recvFn, req.inbox.Post(msg{kind: mData, addr: line, excl: true, epoch: ep}))
 		d.maybeStart(line, e)
 	case ds:
-		e.sharers[req] = true
+		e.sharers.Add(req.id)
 		e.busy = false
-		d.cfg.Net.Send(node, req.node, proto.ClassLD, proto.LineDataFlits, func() {
-			req.recvData(line, 0, false, false, 0)
-		})
+		d.cfg.Net.Send(node, req.node, proto.ClassLD, proto.LineDataFlits,
+			req.recvFn, req.inbox.Post(msg{kind: mData, addr: line}))
 		d.maybeStart(line, e)
 	case dm:
 		owner := e.owner
 		e.state = ds
-		e.sharers = map[*L1]bool{owner: true, req: true}
+		e.sharers.Clear()
+		e.sharers.Add(owner.id)
+		e.sharers.Add(req.id)
 		e.owner = nil
 		e.needAcks = 2 // owner's writeback/ack + requestor's Unblock
-		d.cfg.Net.Send(node, owner.node, proto.ClassLD, proto.CtrlFlits, func() {
-			owner.recvFwdGetS(line, req)
-		})
+		d.cfg.Net.Send(node, owner.node, proto.ClassLD, proto.CtrlFlits,
+			owner.recvFn, owner.inbox.Post(msg{kind: mFwdGetS, addr: line, req: req}))
 	}
 }
 
@@ -181,32 +227,25 @@ func (d *Directory) serviceGetM(line proto.Addr, e *dirEntry, req *L1) {
 		e.epoch++
 		e.needAcks = 1
 		ep := e.epoch
-		d.cfg.Net.Send(node, req.node, proto.ClassST, proto.LineDataFlits, func() {
-			req.recvData(line, 0, false, true, ep)
-		})
+		d.cfg.Net.Send(node, req.node, proto.ClassST, proto.LineDataFlits,
+			req.recvFn, req.inbox.Post(msg{kind: mData, addr: line, unblock: true, epoch: ep}))
 	case ds:
 		invs := 0
-		wasSharer := e.sharers[req]
-		// Deterministic invalidation order (sorted by core ID): map
-		// iteration order must never leak into simulated timing.
-		var ss []*L1
-		for s := range e.sharers { //simlint:allow determinism: sharers are sorted by core ID below
-			if s != req {
-				ss = append(ss, s)
+		wasSharer := e.sharers.Has(req.id)
+		// Invalidations go out in ascending core-ID order.
+		for id := e.sharers.Next(0); id >= 0; id = e.sharers.Next(id + 1) {
+			if id == req.id {
+				continue
 			}
-		}
-		sort.Slice(ss, func(i, j int) bool { return ss[i].id < ss[j].id })
-		for _, s := range ss {
 			invs++
-			s := s
-			d.cfg.Net.Send(node, s.node, proto.ClassInv, proto.CtrlFlits, func() {
-				s.recvInv(line, req)
-			})
+			s := d.l1s[id]
+			d.cfg.Net.Send(node, s.node, proto.ClassInv, proto.CtrlFlits,
+				s.recvFn, s.inbox.Post(msg{kind: mInv, addr: line, req: req}))
 		}
 		e.state = dm
 		e.owner = req
 		e.epoch++
-		e.sharers = make(map[*L1]bool)
+		e.sharers.Clear()
 		e.needAcks = 1
 		// If the requestor already holds the line in S, only the ack count
 		// travels (no data); otherwise a full data response.
@@ -214,20 +253,15 @@ func (d *Directory) serviceGetM(line proto.Addr, e *dirEntry, req *L1) {
 		if wasSharer {
 			flits = proto.CtrlFlits
 		}
-		n := invs
-		ep := e.epoch
-		d.cfg.Net.Send(node, req.node, proto.ClassST, flits, func() {
-			req.recvData(line, n, false, true, ep)
-		})
+		d.cfg.Net.Send(node, req.node, proto.ClassST, flits,
+			req.recvFn, req.inbox.Post(msg{kind: mData, addr: line, acks: invs, unblock: true, epoch: e.epoch}))
 	case dm:
 		owner := e.owner
 		e.owner = req
 		e.epoch++
 		e.needAcks = 1
-		ep := e.epoch
-		d.cfg.Net.Send(node, owner.node, proto.ClassST, proto.CtrlFlits, func() {
-			owner.recvFwdGetM(line, req, ep)
-		})
+		d.cfg.Net.Send(node, owner.node, proto.ClassST, proto.CtrlFlits,
+			owner.recvFn, owner.inbox.Post(msg{kind: mFwdGetM, addr: line, req: req, epoch: e.epoch}))
 	}
 }
 
@@ -271,7 +305,8 @@ func (d *Directory) recvPut(line proto.Addr, from *L1, dirty bool, epoch uint64)
 	_ = dirty // data value lives in the committed store
 	// PutAck (the L1 keeps no writeback buffer: committed values are
 	// always recoverable, so the ack needs no handler).
-	d.cfg.Net.Send(d.NodeFor(line), from.node, proto.ClassWB, proto.CtrlFlits, func() {})
+	d.cfg.Net.Send(d.NodeFor(line), from.node, proto.ClassWB, proto.CtrlFlits,
+		from.recvFn, from.inbox.Post(msg{kind: mPutAck, addr: line}))
 }
 
 // StateOf exposes directory state for invariant checks in tests:
@@ -285,5 +320,5 @@ func (d *Directory) StateOf(line proto.Addr) (byte, proto.CoreID, int, bool) {
 	if e.owner != nil {
 		owner = e.owner.id
 	}
-	return byte(e.state), owner, len(e.sharers), e.busy
+	return byte(e.state), owner, e.sharers.Len(), e.busy
 }

@@ -51,7 +51,9 @@ type Config struct {
 	L1AccessLat, L2AccessLat, RemoteL1Lat sim.Cycle
 }
 
-// txn is an outstanding L1 miss (one per line).
+// txn is an outstanding L1 miss (one per line). Records are recycled
+// through the L1's free list together with their waiter storage (see
+// allocTxn), so a miss allocates nothing once the L1 is warm.
 type txn struct {
 	line     proto.Addr
 	wantM    bool
@@ -61,7 +63,7 @@ type txn struct {
 	acksNeed int  // -1 until the Data/AckCount message announces the count
 	acksGot  int
 	epoch    uint64 // directory grant epoch (exclusive grants only)
-	waiters  []func()
+	waiters  []retry
 
 	// cap bounds the state a delayed grant may still install (li < ls <
 	// lm). Non-blocking GetS grants (directory E/S grants served from
@@ -83,8 +85,15 @@ type L1 struct {
 	node proto.NodeID
 	dir  *Directory
 
-	cache *cache.Cache
-	txns  map[proto.Addr]*txn
+	cache   *cache.Cache
+	txns    map[proto.Addr]*txn
+	txnFree []*txn // completed transactions, for reuse (see allocTxn)
+
+	// inbox holds the messages in flight to this L1, including the
+	// delayed work it schedules to itself; recvFn (recv, bound once in
+	// NewL1) receives them.
+	inbox  proto.Inbox[msg]
+	recvFn func(uint64)
 
 	pendingStores int
 	drainWaiters  []func()
@@ -105,7 +114,9 @@ type L1 struct {
 	// that issuing a store allocates no continuation.
 	storeDoneFn func(uint64)
 
-	epochs   map[proto.Addr]uint64 // per line, disturbance counter (WaitDisturb)
+	epochs map[proto.Addr]uint64 // per line, disturbance counter (WaitDisturb)
+	// disturbs holds, per line, the WaitDisturb callbacks; a line's list
+	// keeps its storage once drained.
 	disturbs map[proto.Addr][]func()
 
 	// ownEpoch records, per E/M-resident line, the directory epoch of the
@@ -140,11 +151,71 @@ func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID) *L1 {
 		c.popStoreFwd(proto.Addr(word))
 		c.storeCommitted()
 	}
+	c.recvFn = c.recv
 	return c
 }
 
-// SetDirectory wires the shared directory (after construction).
-func (c *L1) SetDirectory(d *Directory) { c.dir = d }
+// SetDirectory wires the shared directory (after construction) and
+// registers this L1 with it as core c.id.
+func (c *L1) SetDirectory(d *Directory) {
+	c.dir = d
+	for len(d.l1s) <= int(c.id) {
+		d.l1s = append(d.l1s, nil)
+	}
+	d.l1s[c.id] = c
+}
+
+// recv is this L1's receive function: it runs a delivered message's
+// handler, reading the message in place, and then frees its inbox slot.
+func (c *L1) recv(slot uint64) {
+	m := c.inbox.At(slot)
+	switch m.kind {
+	case mData:
+		c.recvData(m.addr, m.acks, m.excl, m.unblock, m.epoch)
+	case mInvAck:
+		c.recvInvAck(m.addr)
+	case mInv:
+		c.recvInv(m.addr, m.req)
+	case mFwdGetS:
+		c.recvFwdGetS(m.addr, m.req)
+	case mFwdGetM:
+		c.recvFwdGetM(m.addr, m.req, m.epoch)
+	case mPutAck:
+		// The L1 keeps no writeback buffer: committed values are always
+		// recoverable, so the ack needs no handler.
+	case mIssue:
+		c.issue(m.addr, m.wantM)
+	case mAnswerGetS:
+		c.answerGetS(m.addr, m.req)
+	case mAnswerGetM:
+		c.answerGetM(m.addr, m.req, m.epoch)
+	default:
+		panic("mesi: L1 received a directory message")
+	}
+	c.inbox.Free(slot)
+}
+
+// allocTxn returns a transaction record for a miss on line, recycled from
+// the free list when one is available.
+func (c *L1) allocTxn(line proto.Addr, wantM bool) *txn {
+	var t *txn
+	if n := len(c.txnFree); n > 0 {
+		t = c.txnFree[n-1]
+		c.txnFree = c.txnFree[:n-1]
+	} else {
+		t = &txn{}
+	}
+	*t = txn{line: line, wantM: wantM, acksNeed: -1, cap: lm, waiters: t.waiters}
+	return t
+}
+
+// freeTxn returns a completed transaction to the free list, keeping its
+// waiter storage and dropping what the waiters referenced.
+func (c *L1) freeTxn(t *txn) {
+	clear(t.waiters)
+	t.waiters = t.waiters[:0]
+	c.txnFree = append(c.txnFree, t)
+}
 
 // Stats returns the hit/miss counters.
 func (c *L1) Stats() *proto.L1Stats { return &c.stats }
@@ -180,10 +251,11 @@ func (c *L1) disturb(line proto.Addr) {
 	if len(ws) == 0 {
 		return
 	}
-	delete(c.disturbs, line)
 	for _, fn := range ws {
 		c.eng.Schedule(0, fn)
 	}
+	clear(ws)
+	c.disturbs[line] = ws[:0]
 }
 
 // OnWritesDrained calls fn once all non-blocking stores have committed.
@@ -212,10 +284,11 @@ func (c *L1) storeCommitted() {
 	c.pendingStores--
 	if c.pendingStores == 0 {
 		ws := c.drainWaiters
-		c.drainWaiters = nil
 		for _, fn := range ws {
 			c.eng.Schedule(0, fn)
 		}
+		clear(ws)
+		c.drainWaiters = ws[:0]
 	}
 }
 
@@ -314,28 +387,24 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		c.stats.Miss(req.Kind)
 	}
 	wantM := req.Kind.IsWrite()
-	retry := func() { c.access(req, commit, false) }
 	if t, ok := c.txns[req.Addr.Line()]; ok {
-		t.waiters = append(t.waiters, retry)
+		t.waiters = append(t.waiters, retry{req: req, commit: commit})
 		return
 	}
-	t := &txn{line: req.Addr.Line(), wantM: wantM, acksNeed: -1, cap: lm}
-	t.waiters = append(t.waiters, retry)
+	t := c.allocTxn(req.Addr.Line(), wantM)
+	t.waiters = append(t.waiters, retry{req: req, commit: commit})
 	c.txns[t.line] = t
-	class := proto.ClassLD
+	c.eng.ScheduleCall(c.cfg.L1AccessLat, c.recvFn, c.inbox.Post(msg{kind: mIssue, addr: t.line, wantM: wantM}))
+}
+
+// issue sends a miss's GetS or GetM to the line's directory bank.
+func (c *L1) issue(line proto.Addr, wantM bool) {
+	kind, class := mGetS, proto.ClassLD
 	if wantM {
-		class = proto.ClassST
+		kind, class = mGetM, proto.ClassST
 	}
-	c.eng.Schedule(c.cfg.L1AccessLat, func() {
-		dirNode := c.dir.NodeFor(t.line)
-		c.cfg.Net.Send(c.node, dirNode, class, proto.CtrlFlits, func() {
-			if wantM {
-				c.dir.recvGetM(t.line, c)
-			} else {
-				c.dir.recvGetS(t.line, c)
-			}
-		})
-	})
+	c.cfg.Net.Send(c.node, c.dir.NodeFor(line), class, proto.CtrlFlits,
+		c.dir.recvFn, c.dir.inbox.Post(msg{kind: kind, addr: line, req: c}))
 }
 
 // recvData handles the data (or ack-count) grant of an outstanding miss.
@@ -422,12 +491,11 @@ func (c *L1) maybeComplete(t *txn) {
 		if t.wantM {
 			class = proto.ClassST
 		}
-		c.cfg.Net.Send(c.node, c.dir.NodeFor(t.line), class, proto.CtrlFlits, func() {
-			c.dir.recvUnblock(t.line)
-		})
+		c.cfg.Net.Send(c.node, c.dir.NodeFor(t.line), class, proto.CtrlFlits,
+			c.dir.recvFn, c.dir.inbox.Post(msg{kind: mUnblock, addr: t.line}))
 	}
 	for _, w := range t.waiters {
-		w()
+		c.access(w.req, w.commit, false)
 	}
 	if useOnce {
 		if l := c.cache.Lookup(t.line); l != nil && l.LineState == ls {
@@ -435,6 +503,7 @@ func (c *L1) maybeComplete(t *txn) {
 			c.disturb(t.line)
 		}
 	}
+	c.freeTxn(t)
 }
 
 // evict removes a victim line, writing back M (data) or E (clean notice).
@@ -455,9 +524,8 @@ func (c *L1) evict(v *cache.Line) {
 			flits = proto.LineDataFlits
 			c.stats.WB++
 		}
-		c.cfg.Net.Send(c.node, c.dir.NodeFor(line), proto.ClassWB, flits, func() {
-			c.dir.recvPut(line, c, state == lm, ep)
-		})
+		c.cfg.Net.Send(c.node, c.dir.NodeFor(line), proto.ClassWB, flits,
+			c.dir.recvFn, c.dir.inbox.Post(msg{kind: mPut, addr: line, req: c, dirty: state == lm, epoch: ep}))
 	}
 }
 
@@ -478,9 +546,8 @@ func (c *L1) recvInv(line proto.Addr, req *L1) {
 	if t := c.txns[line]; t != nil && !t.wantM {
 		t.cap = li
 	}
-	c.cfg.Net.Send(c.node, req.node, proto.ClassInv, proto.CtrlFlits, func() {
-		req.recvInvAck(line)
-	})
+	c.cfg.Net.Send(c.node, req.node, proto.ClassInv, proto.CtrlFlits,
+		req.recvFn, req.inbox.Post(msg{kind: mInvAck, addr: line}))
 }
 
 // recvFwdGetS services a read forwarded by the directory: downgrade to S,
@@ -490,51 +557,56 @@ func (c *L1) recvInv(line proto.Addr, req *L1) {
 //
 //atlas:unreachable mesi.L1 ls recvFwdGetS: the directory forwards GetS only to the pending exclusive owner and blocks until the handoff acks, so the target is E, M, or already evicted — never observed in S
 func (c *L1) recvFwdGetS(line proto.Addr, req *L1) {
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
-		c.observe(c.lineState(line), "recvFwdGetS")
-		wbFlits := proto.CtrlFlits
-		if l := c.cache.Lookup(line); l != nil && (l.LineState == lm || l.LineState == le) {
-			if l.LineState == lm {
-				wbFlits = proto.LineDataFlits
-			}
-			l.LineState = ls
-			delete(c.ownEpoch, line) // S evictions are silent: no Put to stamp
+	c.eng.ScheduleCall(c.cfg.RemoteL1Lat, c.recvFn, c.inbox.Post(msg{kind: mAnswerGetS, addr: line, req: req}))
+}
+
+// answerGetS answers a forwarded read once the remote-L1 latency has
+// passed (see recvFwdGetS).
+func (c *L1) answerGetS(line proto.Addr, req *L1) {
+	c.observe(c.lineState(line), "recvFwdGetS")
+	wbFlits := proto.CtrlFlits
+	if l := c.cache.Lookup(line); l != nil && (l.LineState == lm || l.LineState == le) {
+		if l.LineState == lm {
+			wbFlits = proto.LineDataFlits
 		}
-		// The forward chases an exclusive grant whose fill is still in
-		// flight: the late fill may install at most Shared (txn.cap).
-		if t := c.txns[line]; t != nil && !t.wantM && t.cap > ls {
-			t.cap = ls
-		}
-		c.cfg.Net.Send(c.node, req.node, proto.ClassLD, proto.LineDataFlits, func() {
-			req.recvData(line, 0, false, true, 0)
-		})
-		c.cfg.Net.Send(c.node, c.dir.NodeFor(line), proto.ClassWB, wbFlits, func() {
-			c.dir.recvOwnerAck(line)
-		})
-	})
+		l.LineState = ls
+		delete(c.ownEpoch, line) // S evictions are silent: no Put to stamp
+	}
+	// The forward chases an exclusive grant whose fill is still in
+	// flight: the late fill may install at most Shared (txn.cap).
+	if t := c.txns[line]; t != nil && !t.wantM && t.cap > ls {
+		t.cap = ls
+	}
+	c.cfg.Net.Send(c.node, req.node, proto.ClassLD, proto.LineDataFlits,
+		req.recvFn, req.inbox.Post(msg{kind: mData, addr: line, unblock: true}))
+	c.cfg.Net.Send(c.node, c.dir.NodeFor(line), proto.ClassWB, wbFlits,
+		c.dir.recvFn, c.dir.inbox.Post(msg{kind: mOwnerAck, addr: line}))
 }
 
 // recvFwdGetM services a write forwarded by the directory: invalidate and
 // send data to the requestor. epoch is the directory's grant epoch for the
 // requestor's new ownership (the data response doubles as the grant).
 func (c *L1) recvFwdGetM(line proto.Addr, req *L1, epoch uint64) {
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
-		c.observe(c.lineState(line), "recvFwdGetM")
-		if l := c.cache.Lookup(line); l != nil {
-			c.cache.Evict(l)
-			c.disturb(line)
-		}
-		delete(c.ownEpoch, line)
-		// The forward chases an exclusive grant whose fill is still in
-		// flight: the new writer owns the line now, so the late fill
-		// must not install at all (txn.cap).
-		if t := c.txns[line]; t != nil && !t.wantM {
-			t.cap = li
-		}
-		c.cfg.Net.Send(c.node, req.node, proto.ClassST, proto.LineDataFlits, func() {
-			req.recvData(line, 0, false, true, epoch)
-		})
-	})
+	c.eng.ScheduleCall(c.cfg.RemoteL1Lat, c.recvFn, c.inbox.Post(msg{kind: mAnswerGetM, addr: line, req: req, epoch: epoch}))
+}
+
+// answerGetM answers a forwarded write once the remote-L1 latency has
+// passed (see recvFwdGetM).
+func (c *L1) answerGetM(line proto.Addr, req *L1, epoch uint64) {
+	c.observe(c.lineState(line), "recvFwdGetM")
+	if l := c.cache.Lookup(line); l != nil {
+		c.cache.Evict(l)
+		c.disturb(line)
+	}
+	delete(c.ownEpoch, line)
+	// The forward chases an exclusive grant whose fill is still in
+	// flight: the new writer owns the line now, so the late fill must not
+	// install at all (txn.cap).
+	if t := c.txns[line]; t != nil && !t.wantM {
+		t.cap = li
+	}
+	c.cfg.Net.Send(c.node, req.node, proto.ClassST, proto.LineDataFlits,
+		req.recvFn, req.inbox.Post(msg{kind: mData, addr: line, unblock: true, epoch: epoch}))
 }
 
 var _ proto.L1Controller = (*L1)(nil)

@@ -69,9 +69,8 @@ func (d *Directory) Sharers(line proto.Addr) []proto.CoreID {
 		return nil
 	}
 	var out []proto.CoreID
-	for l1 := range e.sharers { //simlint:allow determinism: keys are sorted before use
-		out = append(out, l1.id)
+	for id := e.sharers.Next(0); id >= 0; id = e.sharers.Next(id + 1) {
+		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -19,14 +19,24 @@ import (
 //     (stale extra sharers are legal — silent S eviction — but a missing
 //     sharer would lose an invalidation);
 //   - cached values of owned (M/E) words match the committed image;
-//   - no L1 has an outstanding transaction and the directory is idle.
+//   - no L1 has an outstanding transaction and the directory is idle;
+//   - every controller's inbox is empty: each message sent was delivered.
 func (d *Directory) Validate(l1s []*L1) error {
+	if n := d.inbox.Len(); n != 0 {
+		return fmt.Errorf("mesi: directory holds %d undelivered messages at quiescence", n)
+	}
+	if dr := d.cfg.DRAM; dr != nil && dr.InFlight() != 0 {
+		return fmt.Errorf("mesi: %d memory fetches unanswered at quiescence", dr.InFlight())
+	}
 	type holder struct {
 		owners  []proto.CoreID
 		sharers []proto.CoreID
 	}
 	lines := map[proto.Addr]*holder{}
 	for _, c := range l1s {
+		if n := c.inbox.Len(); n != 0 {
+			return fmt.Errorf("mesi: L1 %d holds %d undelivered messages at quiescence", c.id, n)
+		}
 		if len(c.txns) != 0 {
 			return fmt.Errorf("mesi: L1 %d has %d outstanding transactions at quiescence", c.id, len(c.txns))
 		}
@@ -91,7 +101,7 @@ func (d *Directory) Validate(l1s []*L1) error {
 			}
 		}
 		for _, s := range h.sharers {
-			if e.state != ds || !e.sharers[l1s[s]] {
+			if e.state != ds || !e.sharers.Has(s) {
 				return fmt.Errorf("mesi: sharer %d of line %v missing from directory", s, line)
 			}
 		}

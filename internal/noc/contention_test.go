@@ -30,7 +30,7 @@ func TestContentionUncontendedMatchesAnalytic(t *testing.T) {
 	n.EnableContention(1)
 	// A lone control message pays the analytic latency plus its own tail
 	// serialization.
-	lat := n.Send(0, 3, proto.ClassLD, proto.CtrlFlits, func() {})
+	lat := n.Send(0, 3, proto.ClassLD, proto.CtrlFlits, func(uint64) {}, 0)
 	// Per-link pipeline (3 x per-hop) plus the tail's serialization.
 	want := 3*n.Latency(1) + sim.Cycle(proto.CtrlFlits-1)
 	if lat != want {
@@ -44,8 +44,8 @@ func TestContentionSerializesHotLink(t *testing.T) {
 	n.EnableContention(1)
 	// Two large messages down the same link: the second waits for the
 	// first's occupancy.
-	l1 := n.Send(0, 1, proto.ClassLD, proto.LineDataFlits, func() {})
-	l2 := n.Send(0, 1, proto.ClassLD, proto.LineDataFlits, func() {})
+	l1 := n.Send(0, 1, proto.ClassLD, proto.LineDataFlits, func(uint64) {}, 0)
+	l2 := n.Send(0, 1, proto.ClassLD, proto.LineDataFlits, func(uint64) {}, 0)
 	if l2 <= l1 {
 		t.Fatalf("second message not delayed: %d then %d", l1, l2)
 	}
@@ -53,7 +53,7 @@ func TestContentionSerializesHotLink(t *testing.T) {
 		t.Fatalf("second message delay too small: %d vs %d", l2, l1)
 	}
 	// A message on a disjoint route is unaffected.
-	l3 := n.Send(5, 6, proto.ClassLD, proto.CtrlFlits, func() {})
+	l3 := n.Send(5, 6, proto.ClassLD, proto.CtrlFlits, func(uint64) {}, 0)
 	if l3 != n.Latency(1)+sim.Cycle(proto.CtrlFlits-1) {
 		t.Fatalf("disjoint route delayed: %d", l3)
 	}
@@ -64,7 +64,7 @@ func TestContentionZeroHopFree(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e, mesh4x4(), 10, 3)
 	n.EnableContention(1)
-	if lat := n.Send(0, 0, proto.ClassLD, 100, func() {}); lat != 0 {
+	if lat := n.Send(0, 0, proto.ClassLD, 100, func(uint64) {}, 0); lat != 0 {
 		t.Fatalf("local transfer cost %d", lat)
 	}
 }

@@ -16,8 +16,8 @@ func TestInFlightBetweenSendAndDispatch(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, mesh4x4(), 10, 3)
 	var seen [proto.NumMsgClasses]int64
-	n.Send(0, 15, proto.ClassSynch, proto.CtrlFlits, func() { seen = n.InFlight() })
-	n.Send(5, 5, proto.ClassWB, proto.CtrlFlits, func() {})
+	n.Send(0, 15, proto.ClassSynch, proto.CtrlFlits, func(uint64) { seen = n.InFlight() }, 0)
+	n.Send(5, 5, proto.ClassWB, proto.CtrlFlits, func(uint64) {}, 0)
 	got := n.InFlight()
 	if got[proto.ClassSynch] != 1 || got[proto.ClassWB] != 1 || n.InFlightTotal() != 2 {
 		t.Fatalf("in flight after two sends = %v, want one Synch and one WB", got)
@@ -42,10 +42,10 @@ func TestSendAllocatesNothing(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, mesh4x4(), 10, 3)
 	delivered := 0
-	deliver := func() { delivered++ }
+	deliver := func(uint64) { delivered++ }
 	run := func() {
-		n.Send(0, 15, proto.ClassSynch, proto.CtrlFlits, deliver)
-		n.Send(5, 5, proto.ClassLD, proto.CtrlFlits, deliver)
+		n.Send(0, 15, proto.ClassSynch, proto.CtrlFlits, deliver, 0)
+		n.Send(5, 5, proto.ClassLD, proto.CtrlFlits, deliver, 0)
 		if n.InFlightTotal() != 2 {
 			t.Fatal("sends not counted in flight")
 		}

@@ -142,18 +142,20 @@ func (n *Network) Latency(hops int) sim.Cycle {
 	return (sim.Cycle(hops)*n.perHopNum + n.perHopDen - 1) / n.perHopDen
 }
 
-// Send transmits a message of flits flits from src to dst and schedules
-// deliver at arrival. Same-router transfers (hops = 0) are free and
-// instantaneous: they never touch a mesh link, matching the paper's traffic
-// metric. Send returns the modeled latency. The delivery event is deliver
-// itself, tagged with the message class, so Send allocates nothing of its
-// own.
+// Send transmits a message of flits flits from src to dst and, at
+// arrival, calls recv(slot): recv is the destination controller's receive
+// function, bound once at construction, and slot is where the message
+// waits in that controller's inbox. Same-router transfers (hops = 0) are
+// free and instantaneous: they never touch a mesh link, matching the
+// paper's traffic metric. Send returns the modeled latency. The delivery
+// event is recv itself, tagged with the message class, so Send allocates
+// nothing of its own.
 //
 // Cross-router deliveries are keyed arrivals, ordered by (arrival cycle,
 // send cycle, src, per-src counter); same-router transfers are ordinary
 // sequence-numbered events. The recorded results depend on both orders
 // (see sim.Engine.ScheduleArrivalAt).
-func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, deliver func()) sim.Cycle {
+func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, recv func(uint64), slot uint64) sim.Cycle {
 	now := n.eng.Now()
 	if n.trace != nil {
 		n.trace(now, src, dst, class, flits)
@@ -173,12 +175,12 @@ func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, d
 	n.eps[src].sent[class]++
 	tag := classTag(class)
 	if hops == 0 {
-		n.eng.ScheduleTagged(lat, tag, deliver)
+		n.eng.ScheduleTagged(lat, tag, recv, slot)
 		return lat
 	}
 	ctr := n.eps[src].arrivalSeq
 	n.eps[src].arrivalSeq++
-	n.eng.ScheduleArrivalAt(now+lat, now, uint32(src), ctr, tag, deliver)
+	n.eng.ScheduleArrivalAt(now+lat, now, uint32(src), ctr, tag, recv, slot)
 	return lat
 }
 

@@ -103,7 +103,7 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e, mesh4x4(), 10, 3)
 	var at sim.Cycle
-	lat := n.Send(0, 15, proto.ClassLD, proto.CtrlFlits, func() { at = e.Now() })
+	lat := n.Send(0, 15, proto.ClassLD, proto.CtrlFlits, func(uint64) { at = e.Now() }, 0)
 	if lat != 20 {
 		t.Fatalf("latency = %d, want 20 (6 hops x 10/3)", lat)
 	}
@@ -116,9 +116,9 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e, mesh4x4(), 10, 3)
-	n.Send(0, 15, proto.ClassLD, 4, func() {})   // 4 flits x 6 hops = 24
-	n.Send(0, 0, proto.ClassST, 100, func() {})  // same router: 0
-	n.Send(1, 2, proto.ClassSynch, 6, func() {}) // 6 flits x 1 hop = 6
+	n.Send(0, 15, proto.ClassLD, 4, func(uint64) {}, 0)   // 4 flits x 6 hops = 24
+	n.Send(0, 0, proto.ClassST, 100, func(uint64) {}, 0)  // same router: 0
+	n.Send(1, 2, proto.ClassSynch, 6, func(uint64) {}, 0) // 6 flits x 1 hop = 6
 	e.Run(0)
 	tr := n.Traffic()
 	if tr[proto.ClassLD] != 24 {

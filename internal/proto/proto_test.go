@@ -126,3 +126,58 @@ func TestStringers(t *testing.T) {
 		t.Fatal("unknown-value stringers empty")
 	}
 }
+
+// TestCoreSet: members come back in ascending order across word
+// boundaries, and Clear empties the set without shrinking it.
+func TestCoreSet(t *testing.T) {
+	var s CoreSet
+	for _, id := range []CoreID{70, 3, 64, 0, 63} {
+		s.Add(id)
+	}
+	var got []CoreID
+	for id := s.Next(0); id >= 0; id = s.Next(id + 1) {
+		got = append(got, id)
+	}
+	want := []CoreID{0, 3, 63, 64, 70}
+	if len(got) != len(want) {
+		t.Fatalf("members %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("members %v, want %v", got, want)
+		}
+	}
+	if s.Len() != 5 || !s.Has(64) || s.Has(65) || s.Has(200) {
+		t.Fatalf("Len %d, Has(64) %t, Has(65) %t, Has(200) %t", s.Len(), s.Has(64), s.Has(65), s.Has(200))
+	}
+	words := len(s)
+	s.Clear()
+	if s.Len() != 0 || s.Next(0) != -1 || len(s) != words {
+		t.Fatalf("after Clear: Len %d, Next %d, %d words (want 0, -1, %d)", s.Len(), s.Next(0), len(s), words)
+	}
+}
+
+// TestInboxReusesSlots: a freed slot is reused by the next post, a
+// message read in place survives a post that grows the slab, and Len
+// counts the messages not yet freed.
+func TestInboxReusesSlots(t *testing.T) {
+	var b Inbox[string]
+	a, c := b.Post("a"), b.Post("c")
+	if b.Len() != 2 || *b.At(a) != "a" {
+		t.Fatal("Post/At/Len disagree")
+	}
+	b.Free(a)
+	if b.Len() != 1 {
+		t.Fatal("Free did not release the slot")
+	}
+	if d := b.Post("d"); d != a {
+		t.Fatalf("post after free used slot %d, want the freed slot %d", d, a)
+	}
+	m := b.At(c)
+	for i := 0; i < 100; i++ {
+		b.Post("grow")
+	}
+	if *m != "c" || *b.At(a) != "d" {
+		t.Fatal("messages came back wrong")
+	}
+}

@@ -80,8 +80,8 @@ func TestArrivalOrderingAtOverflowBoundary(t *testing.T) {
 	// Two arrivals sent at maxCycle-1 from different sources, and one
 	// band-0 event scheduled earlier for the same cycle: band 0 first,
 	// then arrivals by (src, ctr).
-	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 7, 5, 0, func() { got = append(got, 3) })
-	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 2, 9, 0, func() { got = append(got, 2) })
+	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 7, 5, 0, func(uint64) { got = append(got, 3) }, 0)
+	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 2, 9, 0, func(uint64) { got = append(got, 2) }, 0)
 	e.At(maxCycle, func() { got = append(got, 1) }) // schedAt 0 < maxCycle-1
 	e.Run(0)
 	want := []int{1, 2, 3}

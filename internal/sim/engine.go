@@ -32,12 +32,15 @@
 // event runs either a func() or a func(uint64) with an argument
 // (ScheduleCall): a caller holding a continuation bound once at
 // construction passes it with its value instead of wrapping both in a
-// fresh closure. An event may also carry a small Tag, and the engine
-// counts dispatched events per tag (Dispatched); the network tags each
-// delivery with its message class, which makes in-flight accounting a
-// subtraction rather than a wrapper closure per message. Neither the
-// payload form nor the tag affects ordering: every schedule consumes
-// exactly one sequence number, whatever its form.
+// fresh closure. Message deliveries always take the second form: the
+// network schedules the destination controller's bound receive function
+// with the inbox slot of the message (ScheduleTagged, ScheduleArrivalAt).
+// An event may also carry a small Tag, and the engine counts dispatched
+// events per tag (Dispatched); the network tags each delivery with its
+// message class, which makes in-flight accounting a subtraction rather
+// than a wrapper closure per message. Neither the payload form nor the
+// tag affects ordering: every schedule consumes exactly one sequence
+// number, whatever its form.
 package sim
 
 // Cycle is a point in simulated time, measured in core clock cycles.
@@ -140,11 +143,11 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	e.schedule(delay, fn, nil, 0, 0)
 }
 
-// ScheduleTagged is Schedule for an event counted under tag when it
+// ScheduleTagged is ScheduleCall for an event counted under tag when it
 // dispatches (see Dispatched).
-func (e *Engine) ScheduleTagged(delay Cycle, tag Tag, fn func()) {
+func (e *Engine) ScheduleTagged(delay Cycle, tag Tag, fn func(uint64), arg uint64) {
 	checkTag(tag)
-	e.schedule(delay, fn, nil, 0, tag)
+	e.schedule(delay, nil, fn, arg, tag)
 }
 
 // ScheduleCall runs fn(arg) after delay cycles. It takes the same queue
@@ -181,15 +184,15 @@ func checkTag(tag Tag) {
 	}
 }
 
-// ScheduleArrivalAt enqueues a cross-router message arrival: fn runs at
-// the absolute cycle at, ordered against all other events by (at,
-// schedAt, src, ctr) rather than by sequence number. schedAt is the cycle
-// the message was sent (strictly before at: cross-router latency is at
-// least one cycle), src the sending node, and ctr the sender's running
-// arrival counter. The key is kept because the recorded goldens and
-// digests were produced under it (see the package comment). The arrival
-// counts under tag when it dispatches.
-func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, tag Tag, fn func()) {
+// ScheduleArrivalAt enqueues a cross-router message arrival: fn(arg)
+// runs at the absolute cycle at, ordered against all other events by
+// (at, schedAt, src, ctr) rather than by sequence number. schedAt is the
+// cycle the message was sent (strictly before at: cross-router latency
+// is at least one cycle), src the sending node, and ctr the sender's
+// running arrival counter. The key is kept because the recorded goldens
+// and digests were produced under it (see the package comment). The
+// arrival counts under tag when it dispatches.
+func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, tag Tag, fn func(uint64), arg uint64) {
 	if fn == nil {
 		panic("sim: ScheduleArrivalAt with nil fn")
 	}
@@ -203,7 +206,7 @@ func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, ta
 	key := arrivalBand | uint64(src)<<arrivalCtrBits | ctr
 	i := e.alloc(at, schedAt, key)
 	ev := &e.arena[i]
-	ev.fn, ev.tag = fn, tag
+	ev.call, ev.arg, ev.tag = fn, arg, tag
 	e.heapPush(i)
 }
 

@@ -69,7 +69,7 @@ func TestScheduleCallTraceMatchesSchedule(t *testing.T) {
 			} else {
 				e.Schedule(delay, func() { step(v - 1) })
 			}
-			e.ScheduleTagged(delay+1, 1, func() {})
+			e.ScheduleTagged(delay+1, 1, func(uint64) {}, 0)
 		}
 		e.Schedule(2, func() { step(8) })
 		e.Run(0)
@@ -95,9 +95,10 @@ func TestScheduleCallTraceMatchesSchedule(t *testing.T) {
 func TestDispatchedCountsPerTag(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
-	e.ScheduleTagged(1, 3, nop)
-	e.ScheduleTagged(4, 3, nop)
-	e.ScheduleArrivalAt(2, 0, 1, 0, 5, nop)
+	call := func(uint64) {}
+	e.ScheduleTagged(1, 3, call, 0)
+	e.ScheduleTagged(4, 3, call, 0)
+	e.ScheduleArrivalAt(2, 0, 1, 0, 5, call, 0)
 	e.Schedule(3, nop)
 	e.ScheduleCall(3, func(uint64) {}, 7)
 	if e.Dispatched(3) != 0 || e.Dispatched(5) != 0 {
@@ -132,7 +133,7 @@ func TestScheduleTagRange(t *testing.T) {
 			t.Fatal("ScheduleTagged with tag NumTags did not panic")
 		}
 	}()
-	e.ScheduleTagged(0, NumTags, func() {})
+	e.ScheduleTagged(0, NumTags, func(uint64) {}, 0)
 }
 
 // TestScheduleCallAllocatesNothing: scheduling a bound continuation and
