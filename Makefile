@@ -242,11 +242,12 @@ fabric-smoke:
 nightly-fuzz:
 	$(GO) run ./cmd/scenfuzz run -seed 1 -batches 24 -batch-size 32 -out scenfuzz.out
 
-# Short fuzzing passes over the DeNovoSync backoff-counter and MSHR
-# parking properties, plus the scenario/trace decoder trust boundaries
-# (seed corpus always runs under `make test`).
+# Short fuzzing passes over the engine's dispatch order, the DeNovoSync
+# backoff-counter and MSHR parking properties, plus the scenario/trace
+# decoder trust boundaries (seed corpus always runs under `make test`).
 .PHONY: fuzz
 fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 30s
 	$(GO) test ./internal/denovo -fuzz FuzzBackoffCounterWrap -fuzztime 30s
 	$(GO) test ./internal/denovo -fuzz FuzzMSHRSyncParking -fuzztime 30s
 	$(GO) test ./internal/fuzz -fuzz FuzzScenarioDecode -fuzztime 30s

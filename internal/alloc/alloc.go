@@ -11,7 +11,6 @@ package alloc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"denovosync/internal/proto"
 )
@@ -47,34 +46,30 @@ const (
 )
 
 // lane is one thread's private bump arena: a first arena and, once that
-// is full, an overflow arena. next and limit are touched only by the
-// owning thread; regions slots are written by the owner before the
-// address escapes and read by any tile at L1-fill time, so they are
-// accessed atomically (the values are race-free by the publish chain, the
-// atomicity just makes the benign line-granularity prefetch well-defined).
-// The ovf slice is likewise set by the owner before the first overflow
-// address escapes.
+// is full, an overflow arena. Each arena's region table holds one entry
+// per word from the arena's start up to the bump pointer and grows with
+// it; ovf stays nil until the lane overflows.
 type lane struct {
 	next    proto.Addr
 	limit   proto.Addr
-	regions []uint32 // per word of the first arena
-	ovf     []uint32 // per word of the overflow arena; nil until used
+	regions []uint8 // per word of the first arena
+	ovf     []uint8 // per word of the overflow arena
 }
 
 // laneStart and ovfStart locate lane id's two arenas.
 func laneStart(id int) proto.Addr { return laneBase + proto.Addr(id)*laneStride }
 func ovfStart(id int) proto.Addr  { return ovfBase + proto.Addr(id)*ovfStride }
 
-// Space is a simulated address space with region tagging.
+// Space is a simulated address space with region tagging. One goroutine
+// runs a machine, so nothing here is synchronized.
 type Space struct {
 	next       proto.Addr
-	regionOf   map[proto.Addr]proto.RegionID // per word
+	regions    []uint8 // per word of the shared space, from base up to next
 	regionIDs  map[string]proto.RegionID
 	nextRegion proto.RegionID
 
-	// lanes[i] is thread i's arena, created by the owner on first use and
-	// published through the atomic pointer for cross-tile RegionOf reads.
-	lanes [maxLanes]atomic.Pointer[lane]
+	// lanes[i] is thread i's arena, created on its first allocation.
+	lanes []*lane
 }
 
 // New returns an empty space. Region 0 ("default") is pre-assigned to all
@@ -82,7 +77,6 @@ type Space struct {
 func New() *Space {
 	return &Space{
 		next:       base,
-		regionOf:   make(map[proto.Addr]proto.RegionID),
 		regionIDs:  map[string]proto.RegionID{"default": 0},
 		nextRegion: 1,
 	}
@@ -113,10 +107,33 @@ func (s *Space) Alloc(words int, region proto.RegionID) proto.Addr {
 	if s.next > laneBase {
 		panic("alloc: shared space collides with lane arenas")
 	}
-	for i := 0; i < words; i++ {
-		s.regionOf[a+proto.Addr(i*proto.WordBytes)] = region
-	}
+	s.regions = tag(s.regions, (a-base)/proto.WordBytes, words, region)
 	return a
+}
+
+// tag records region for the words [slot, slot+words) of a region table
+// that covers the words below slot, and returns the grown table. Words
+// skipped as padding get region 0.
+func tag(tab []uint8, slot proto.Addr, words int, region proto.RegionID) []uint8 {
+	if region < 0 || region >= proto.MaxRegions {
+		panic("alloc: region ID out of range")
+	}
+	for proto.Addr(len(tab)) < slot {
+		tab = append(tab, 0)
+	}
+	for i := 0; i < words; i++ {
+		tab = append(tab, uint8(region))
+	}
+	return tab
+}
+
+// regionAt reads a region table, in which words past the end have
+// region 0.
+func regionAt(tab []uint8, slot proto.Addr) proto.RegionID {
+	if slot < proto.Addr(len(tab)) {
+		return proto.RegionID(tab[slot])
+	}
+	return 0
 }
 
 // AllocAligned reserves words words starting on a fresh cache line,
@@ -149,15 +166,14 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 	if words <= 0 {
 		panic("alloc: non-positive size")
 	}
-	ln := s.lanes[laneID].Load()
+	for len(s.lanes) <= laneID {
+		s.lanes = append(s.lanes, nil)
+	}
+	ln := s.lanes[laneID]
 	if ln == nil {
 		start := laneStart(laneID)
-		ln = &lane{
-			next:    start,
-			limit:   start + laneStride,
-			regions: make([]uint32, laneStride/proto.WordBytes),
-		}
-		s.lanes[laneID].Store(ln)
+		ln = &lane{next: start, limit: start + laneStride}
+		s.lanes[laneID] = ln
 	}
 	if rem := ln.next % proto.LineBytes; rem != 0 {
 		ln.next += proto.LineBytes - rem
@@ -166,7 +182,7 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 	if ln.next+size > ln.limit && ln.ovf == nil {
 		// The first arena is full: continue in the overflow arena.
 		start := ovfStart(laneID)
-		ln.ovf = make([]uint32, ovfStride/proto.WordBytes)
+		ln.ovf = []uint8{}
 		ln.next, ln.limit = start, start+ovfStride
 	}
 	a := ln.next
@@ -174,12 +190,10 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 	if ln.next > ln.limit {
 		panic("alloc: lane overflow")
 	}
-	regions, slot := ln.regions, (a-laneStart(laneID))/proto.WordBytes
 	if ln.ovf != nil {
-		regions, slot = ln.ovf, (a-ovfStart(laneID))/proto.WordBytes
-	}
-	for i := 0; i < words; i++ {
-		atomic.StoreUint32(&regions[slot+proto.Addr(i)], uint32(region))
+		ln.ovf = tag(ln.ovf, (a-ovfStart(laneID))/proto.WordBytes, words, region)
+	} else {
+		ln.regions = tag(ln.regions, (a-laneStart(laneID))/proto.WordBytes, words, region)
 	}
 	return a
 }
@@ -190,23 +204,18 @@ func (s *Space) RegionOf(a proto.Addr) proto.RegionID {
 	switch {
 	case w >= ovfBase:
 		li := (w - ovfBase) / ovfStride
-		if li >= maxLanes {
-			return 0
+		if li < proto.Addr(len(s.lanes)) && s.lanes[li] != nil {
+			return regionAt(s.lanes[li].ovf, (w-ovfStart(int(li)))/proto.WordBytes)
 		}
-		ln := s.lanes[li].Load()
-		if ln == nil || ln.ovf == nil {
-			return 0
-		}
-		return proto.RegionID(atomic.LoadUint32(&ln.ovf[(w-ovfStart(int(li)))/proto.WordBytes]))
 	case w >= laneBase:
 		li := (w - laneBase) / laneStride
-		ln := s.lanes[li].Load()
-		if ln == nil {
-			return 0
+		if li < proto.Addr(len(s.lanes)) && s.lanes[li] != nil {
+			return regionAt(s.lanes[li].regions, (w-laneStart(int(li)))/proto.WordBytes)
 		}
-		return proto.RegionID(atomic.LoadUint32(&ln.regions[(w-laneStart(int(li)))/proto.WordBytes]))
+	case w >= base:
+		return regionAt(s.regions, (w-base)/proto.WordBytes)
 	}
-	return s.regionOf[w]
+	return 0
 }
 
 // Used returns the number of bytes allocated so far.

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"denovosync/internal/proto"
+	"denovosync/internal/race"
 )
 
 func TestRegionNaming(t *testing.T) {
@@ -159,7 +160,7 @@ func TestLaneOverflowArena(t *testing.T) {
 	if got := s.RegionOf(0x5080_0000); got != 0 {
 		t.Fatalf("RegionOf in lane %d's unused overflow arena = %d, want 0", other, got)
 	}
-	if s.lanes[other].Load().ovf != nil {
+	if s.lanes[other].ovf != nil {
 		t.Fatal("a lane that never filled its first arena has an overflow arena")
 	}
 	// The top overflow arena still ends below 2^32.
@@ -179,4 +180,32 @@ func TestLaneOverflowExhausted(t *testing.T) {
 		}
 	}()
 	s.LaneAllocAligned(5, 1, 0)
+}
+
+// TestRegionOfAllocatesNothing: resolving a region — in the shared space,
+// a lane's first arena, its overflow arena, or unallocated space — is a
+// table read.
+func TestRegionOfAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := New()
+	r := s.Region("r")
+	shared := s.AllocAligned(4, r)
+	lane := s.LaneAllocAligned(2, 2, r)
+	s.LaneAllocAligned(3, int(laneStride/proto.WordBytes), r) // fills lane 3's first arena
+	ovf := s.LaneAllocAligned(3, 2, r)
+	addrs := []proto.Addr{shared, shared + 3*proto.WordBytes, lane, ovf, ovf + 2*proto.WordBytes, 0, laneBase - proto.WordBytes, ovfStart(9)}
+	var sum proto.RegionID
+	lookups := func() {
+		for _, a := range addrs {
+			sum += s.RegionOf(a)
+		}
+	}
+	if n := testing.AllocsPerRun(100, lookups); n != 0 {
+		t.Fatalf("RegionOf allocated %.1f times per round, want 0", n)
+	}
+	if sum == 0 {
+		t.Fatal("no address resolved to its region")
+	}
 }

@@ -28,7 +28,10 @@ type Line struct {
 	LineState LineState
 	WordState [proto.WordsPerLine]WordState
 	Values    [proto.WordsPerLine]uint64
-	Regions   [proto.WordsPerLine]proto.RegionID
+	// Regions holds each word's proto.RegionID. Region IDs are below
+	// proto.MaxRegions (64), so a byte holds one, and a cache's lines,
+	// which every machine build allocates and zeroes, stay small.
+	Regions [proto.WordsPerLine]uint8
 
 	// lru is the set-relative recency stamp (bigger = more recent).
 	lru uint64
@@ -38,7 +41,7 @@ type Line struct {
 func (l *Line) ClearWords() {
 	l.WordState = [proto.WordsPerLine]WordState{}
 	l.Values = [proto.WordsPerLine]uint64{}
-	l.Regions = [proto.WordsPerLine]proto.RegionID{}
+	l.Regions = [proto.WordsPerLine]uint8{}
 }
 
 // Cache is a set-associative cache. It only manages placement and
@@ -47,9 +50,17 @@ type Cache struct {
 	sets  int
 	ways  int
 	lines []Line // sets*ways, set-major
-	index map[proto.Addr]*Line
+
+	// tags[i] is lines[i].Addr while that line is present, else noTag:
+	// Lookup scans one set's tags without touching the lines.
+	tags  []proto.Addr
+	n     int // present lines
 	clock uint64
 }
+
+// noTag marks an empty way. It is not line-aligned, so no line's
+// address equals it.
+const noTag = ^proto.Addr(0)
 
 // New constructs a cache with the given geometry. sizeBytes must be an
 // exact multiple of ways*LineBytes and the set count a power of two.
@@ -62,12 +73,11 @@ func New(sizeBytes, ways int) *Cache {
 	if sets&(sets-1) != 0 {
 		panic("cache: set count not a power of two")
 	}
-	return &Cache{
-		sets:  sets,
-		ways:  ways,
-		lines: make([]Line, lines),
-		index: make(map[proto.Addr]*Line, lines),
+	c := &Cache{sets: sets, ways: ways, lines: make([]Line, lines), tags: make([]proto.Addr, lines)}
+	for i := range c.tags {
+		c.tags[i] = noTag
 	}
+	return c
 }
 
 // Sets returns the number of sets; Ways the associativity.
@@ -81,7 +91,26 @@ func (c *Cache) setOf(line proto.Addr) int {
 // Lookup returns the line holding addr's line, or nil. It does not update
 // recency; use Touch for that.
 func (c *Cache) Lookup(addr proto.Addr) *Line {
-	return c.index[addr.Line()]
+	line := addr.Line()
+	first := c.setOf(line) * c.ways
+	for i, tag := range c.tags[first : first+c.ways] {
+		if tag == line {
+			return &c.lines[first+i]
+		}
+	}
+	return nil
+}
+
+// slot returns the index in lines of l, which must be a way of addr's
+// set.
+func (c *Cache) slot(l *Line, addr proto.Addr) int {
+	first := c.setOf(addr.Line()) * c.ways
+	for i := first; i < first+c.ways; i++ {
+		if &c.lines[i] == l {
+			return i
+		}
+	}
+	panic("cache: line is not a way of its address's set")
 }
 
 // Touch marks l most recently used.
@@ -95,12 +124,11 @@ func (c *Cache) Touch(l *Line) {
 // caller is responsible for writing back the victim as the protocol
 // requires, then calling Install.
 func (c *Cache) Victim(addr proto.Addr) *Line {
-	set := c.setOf(addr.Line())
-	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	first := c.setOf(addr.Line()) * c.ways
 	var victim *Line
-	for i := range ways {
-		l := &ways[i]
-		if !l.Present {
+	for i, tag := range c.tags[first : first+c.ways] {
+		l := &c.lines[first+i]
+		if tag == noTag {
 			return l
 		}
 		if victim == nil || l.lru < victim.lru {
@@ -110,18 +138,18 @@ func (c *Cache) Victim(addr proto.Addr) *Line {
 	return victim
 }
 
-// Install claims l (as returned by Victim) for addr's line, clearing all
-// word metadata and marking it most recently used. Any previous occupant
-// is removed from the index.
+// Install claims l for addr's line, clearing all word metadata and
+// marking it most recently used. l must be a way of addr's set, as
+// Victim(addr) returns; any previous occupant loses its tag.
 func (c *Cache) Install(l *Line, addr proto.Addr) {
-	if l.Present {
-		delete(c.index, l.Addr)
+	if !l.Present {
+		c.n++
 	}
 	l.Addr = addr.Line()
 	l.Present = true
 	l.LineState = 0
 	l.ClearWords()
-	c.index[l.Addr] = l
+	c.tags[c.slot(l, addr)] = l.Addr
 	c.Touch(l)
 }
 
@@ -130,7 +158,8 @@ func (c *Cache) Evict(l *Line) {
 	if !l.Present {
 		return
 	}
-	delete(c.index, l.Addr)
+	c.n--
+	c.tags[c.slot(l, l.Addr)] = noTag
 	l.Present = false
 	l.LineState = 0
 	l.ClearWords()
@@ -146,4 +175,4 @@ func (c *Cache) ForEach(fn func(*Line)) {
 }
 
 // Len returns the number of present lines.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.n }

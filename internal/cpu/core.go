@@ -76,9 +76,10 @@ type step struct {
 	phase Phase               // stepPhase
 	n     sim.Cycle           // stepDelay
 	addr  proto.Addr
-	value uint64          // store value (stepAccess), sampled epoch (stepWait)
-	set   proto.RegionSet // stepSelfInv
-	rmw   proto.RMWOp
+	value uint64            // store value (stepAccess), sampled epoch (stepWait)
+	set   proto.RegionSet   // stepSelfInv
+	rmw   proto.RMWOp       // stepAccess of a SyncRMW
+	args  [2]uint64         // rmw's operands
 	pred  func(uint64) bool // stepSpin
 }
 
@@ -270,6 +271,7 @@ func (c *Core) issue() {
 		Addr:   s.addr,
 		Value:  s.value,
 		RMW:    s.rmw,
+		Args:   s.args,
 		Region: c.regionOf(s.addr),
 		Done:   c.accessDoneFn,
 	})

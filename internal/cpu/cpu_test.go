@@ -23,7 +23,7 @@ func newFakeL1(eng *sim.Engine, lat sim.Cycle) *fakeL1 {
 
 func (f *fakeL1) Access(req proto.Request) {
 	done := req.Done
-	addr, kind, val, rmw := req.Addr, req.Kind, req.Value, req.RMW
+	addr, kind, val := req.Addr, req.Kind, req.Value
 	f.eng.Schedule(f.latency, func() {
 		switch kind {
 		case proto.DataStore, proto.SyncStore:
@@ -31,7 +31,7 @@ func (f *fakeL1) Access(req proto.Request) {
 			done(0)
 		case proto.SyncRMW:
 			old := f.mem[addr]
-			if nv, st := rmw(old); st {
+			if nv, st := proto.ApplyRMW(&req, old); st {
 				f.mem[addr] = nv
 			}
 			done(old)

@@ -123,65 +123,61 @@ func (t *Thread) Now() sim.Cycle {
 	return t.core.eng.Now()
 }
 
-func accessStep(kind proto.AccessKind, addr proto.Addr, value uint64, rmw proto.RMWOp) step {
-	return step{kind: stepAccess, acc: kind, addr: addr, value: value, rmw: rmw}
+func accessStep(kind proto.AccessKind, addr proto.Addr, value uint64) step {
+	return step{kind: stepAccess, acc: kind, addr: addr, value: value}
 }
 
 // Load performs a blocking data load.
 func (t *Thread) Load(addr proto.Addr) uint64 {
-	return t.call(accessStep(proto.DataLoad, addr, 0, nil))
+	return t.call(accessStep(proto.DataLoad, addr, 0))
 }
 
 // Store performs a non-blocking data store: it completes after the L1
 // access; the coherence transaction drains in the background (see
 // Fence). Batched.
 func (t *Thread) Store(addr proto.Addr, value uint64) {
-	t.queue(accessStep(proto.DataStore, addr, value, nil))
+	t.queue(accessStep(proto.DataStore, addr, value))
 }
 
 // SyncLoad performs a synchronization (volatile/atomic) load: sequentially
 // consistent, ordered after all prior accesses (outstanding stores drain
 // first: acquire/release ordering of the data-race-free model).
 func (t *Thread) SyncLoad(addr proto.Addr) uint64 {
-	return t.call(accessStep(proto.SyncLoad, addr, 0, nil))
+	return t.call(accessStep(proto.SyncLoad, addr, 0))
 }
 
 // SyncStore performs a synchronization store, which completes once the
 // write is globally visible (write atomicity). Batched: the thread's
 // later operations are simulated after it completes.
 func (t *Thread) SyncStore(addr proto.Addr, value uint64) {
-	t.queue(accessStep(proto.SyncStore, addr, value, nil))
+	t.queue(accessStep(proto.SyncStore, addr, value))
 }
 
 // rmw runs an atomic read-modify-write, returning the pre-update value.
-func (t *Thread) rmw(addr proto.Addr, op proto.RMWOp) uint64 {
-	return t.call(accessStep(proto.SyncRMW, addr, 0, op))
+// The operation and its operands are values in the step, so an RMW
+// allocates nothing.
+func (t *Thread) rmw(addr proto.Addr, op proto.RMWOp, a, b uint64) uint64 {
+	return t.call(step{kind: stepAccess, acc: proto.SyncRMW, addr: addr, rmw: op, args: [2]uint64{a, b}})
 }
 
 // CAS atomically compares-and-swaps, reporting success.
 func (t *Thread) CAS(addr proto.Addr, old, new uint64) bool {
-	got := t.rmw(addr, func(cur uint64) (uint64, bool) {
-		if cur == old {
-			return new, true
-		}
-		return 0, false
-	})
-	return got == old
+	return t.rmw(addr, proto.RMWCompareAndSwap, old, new) == old
 }
 
 // FetchAdd atomically adds delta, returning the previous value.
 func (t *Thread) FetchAdd(addr proto.Addr, delta uint64) uint64 {
-	return t.rmw(addr, func(cur uint64) (uint64, bool) { return cur + delta, true })
+	return t.rmw(addr, proto.RMWFetchAdd, delta, 0)
 }
 
 // TestAndSet atomically sets the word to 1, returning the previous value.
 func (t *Thread) TestAndSet(addr proto.Addr) uint64 {
-	return t.rmw(addr, func(uint64) (uint64, bool) { return 1, true })
+	return t.rmw(addr, proto.RMWTestAndSet, 0, 0)
 }
 
 // Exchange atomically swaps in value, returning the previous value.
 func (t *Thread) Exchange(addr proto.Addr, value uint64) uint64 {
-	return t.rmw(addr, func(uint64) (uint64, bool) { return value, true })
+	return t.rmw(addr, proto.RMWExchange, value, 0)
 }
 
 // EagerOps disables batching, restoring the one-handshake-per-operation

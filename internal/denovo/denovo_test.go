@@ -1,6 +1,8 @@
 package denovo
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -189,7 +191,11 @@ func TestValidateCatchesDoubleRegistrant(t *testing.T) {
 	l1s[1].cache.Install(v, addr)
 	v.WordState[addr.WordIndex()] = wr
 	v.Values[addr.WordIndex()] = 1
-	if err := reg.Validate(l1s); err == nil {
+	err := reg.Validate(l1s)
+	if err == nil {
 		t.Fatal("validator accepted two registrants")
+	}
+	if want := fmt.Sprintf("word %v registered at [0 1]", addr); !strings.Contains(err.Error(), want) {
+		t.Fatalf("validator error %q does not name the word and both cores (%q)", err, want)
 	}
 }

@@ -90,7 +90,7 @@ func FuzzMSHRSyncParking(f *testing.F) {
 			req := proto.Request{Addr: addr, Done: func(uint64) { completed++ }}
 			if b&4 == 0 {
 				req.Kind = proto.SyncRMW
-				req.RMW = func(cur uint64) (uint64, bool) { return cur + 1, true }
+				req.RMW, req.Args[0] = proto.RMWFetchAdd, 1
 				faiCount[addr]++
 			} else {
 				req.Kind = proto.SyncLoad

@@ -246,7 +246,7 @@ func (c *L1) SelfInvalidate(set proto.RegionSet) {
 	}
 	c.cache.ForEach(func(l *cache.Line) {
 		for i := range l.WordState {
-			if l.WordState[i] == wv && set.Has(l.Regions[i]) {
+			if l.WordState[i] == wv && set.Has(proto.RegionID(l.Regions[i])) {
 				l.WordState[i] = wi
 				c.disturb(l.Addr + proto.Addr(i*proto.WordBytes))
 			}
@@ -267,9 +267,9 @@ func (c *L1) setUnit(l *cache.Line, addr proto.Addr, st cache.WordState, region 
 			l.WordState[i] = st
 			l.Values[i] = c.cfg.Store.Read(w)
 			if region != 0 {
-				l.Regions[i] = region
+				l.Regions[i] = uint8(region)
 			} else {
-				l.Regions[i] = c.regionOf(w)
+				l.Regions[i] = uint8(c.regionOf(w))
 			}
 		}
 	}
@@ -452,7 +452,7 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		l := c.ensureLine(req.Addr)
 		l.WordState[widx] = wr
 		l.Values[widx] = req.Value
-		l.Regions[widx] = req.Region
+		l.Regions[widx] = uint8(req.Region)
 		c.cfg.Store.Write(word, req.Value)
 		c.writeSig.Add(word)
 		if t := c.txns[unit]; t != nil {
@@ -512,7 +512,7 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 				if first {
 					c.backoffCtr = 0 // an RMW hit also resets (§4.2.1)
 				}
-				if nv, doStore := req.RMW(old); doStore {
+				if nv, doStore := proto.ApplyRMW(&req, old); doStore {
 					line.Values[widx] = nv
 					c.cfg.Store.Write(word, nv)
 					c.writeSig.Add(word)
@@ -603,7 +603,7 @@ func (c *L1) recvDataFill(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, va
 		}
 		l.WordState[i] = wv
 		l.Values[i] = vals[i]
-		l.Regions[i] = c.regionOf(lineAddr + proto.Addr(i*proto.WordBytes))
+		l.Regions[i] = uint8(c.regionOf(lineAddr + proto.Addr(i*proto.WordBytes)))
 	}
 	c.finishTxn(lineAddr, mask)
 }
@@ -686,7 +686,7 @@ func (c *L1) recvRegAck(word proto.Addr, kind proto.AccessKind, val uint64) {
 		widx := word.WordIndex()
 		l.WordState[widx] = wr
 		l.Values[widx] = val
-		l.Regions[widx] = t.region
+		l.Regions[widx] = uint8(t.region)
 		if c.cfg.unitWords() > 1 {
 			c.setUnit(l, word, wr, t.region)
 		}

@@ -27,7 +27,8 @@ func (r *Registry) Validate(l1s []*L1) error {
 	if d := r.cfg.DRAM; d != nil && d.InFlight() != 0 {
 		return fmt.Errorf("denovo: %d memory fetches unanswered at quiescence", d.InFlight())
 	}
-	owners := map[proto.Addr][]proto.CoreID{}
+	// held lists every Registered word an L1 holds, in L1 order.
+	var held []heldWord
 	for _, c := range l1s {
 		if n := c.inbox.Len(); n != 0 {
 			return fmt.Errorf("denovo: L1 %d holds %d undelivered messages at quiescence", c.id, n)
@@ -45,7 +46,7 @@ func (r *Registry) Validate(l1s []*L1) error {
 					continue
 				}
 				word := l.Addr + proto.Addr(i*proto.WordBytes)
-				owners[word] = append(owners[word], c.id)
+				held = append(held, heldWord{word, c.id})
 				if l.Values[i] != r.cfg.Store.Read(word) {
 					err = fmt.Errorf("denovo: registered word %v at core %d diverges from committed image", word, c.id)
 				}
@@ -55,21 +56,26 @@ func (r *Registry) Validate(l1s []*L1) error {
 			return err
 		}
 	}
-	// Report errors in a fixed address order: which violation surfaces
-	// first must not depend on map iteration order.
-	words := make([]proto.Addr, 0, len(owners))
-	for word := range owners { //simlint:allow determinism: keys are sorted before use
-		words = append(words, word)
-	}
-	sort.Slice(words, func(i, j int) bool { return words[i] < words[j] })
-	for _, word := range words {
-		os := owners[word]
-		if len(os) > 1 {
-			return fmt.Errorf("denovo: word %v registered at %v", word, os)
+	// Check each word's run of holders in address order, so which
+	// violation surfaces first is fixed; the stable sort keeps each run's
+	// cores in L1 order.
+	sort.SliceStable(held, func(i, j int) bool { return held[i].word < held[j].word })
+	for i := 0; i < len(held); {
+		word, j := held[i].word, i+1
+		for j < len(held) && held[j].word == word {
+			j++
 		}
-		if got := r.OwnerOf(word); got != int(os[0]) {
-			return fmt.Errorf("denovo: registry says word %v belongs to %d, but core %d holds it", word, got, os[0])
+		if j-i > 1 {
+			cores := make([]proto.CoreID, 0, j-i)
+			for _, h := range held[i:j] {
+				cores = append(cores, h.core)
+			}
+			return fmt.Errorf("denovo: word %v registered at %v", word, cores)
 		}
+		if got := r.OwnerOf(word); got != int(held[i].core) {
+			return fmt.Errorf("denovo: registry says word %v belongs to %d, but core %d holds it", word, got, held[i].core)
+		}
+		i = j
 	}
 	// The converse: a registry pointer must name a core that still holds
 	// the word (or the word was never cached — impossible once pointed).
@@ -90,4 +96,10 @@ func (r *Registry) Validate(l1s []*L1) error {
 		}
 	}
 	return nil
+}
+
+// heldWord records that core holds word Registered (see Validate).
+type heldWord struct {
+	word proto.Addr
+	core proto.CoreID
 }

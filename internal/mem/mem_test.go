@@ -5,6 +5,7 @@ import (
 
 	"denovosync/internal/noc"
 	"denovosync/internal/proto"
+	"denovosync/internal/race"
 	"denovosync/internal/sim"
 )
 
@@ -38,6 +39,55 @@ func TestReadLine(t *testing.T) {
 		if v != uint64(i*10) {
 			t.Fatalf("word %d = %d", i, v)
 		}
+	}
+}
+
+// TestStoreAllocatesNothing: once a page has been written, reading and
+// writing its words and reading its lines allocate nothing, in the shared
+// space, in a lane arena and above the dense range alike; neither does
+// reading a page never written.
+func TestStoreAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := NewStore()
+	addrs := []proto.Addr{0x1_0000, 0x1_0ff8, 0x1030_0040, 0x5060_0000, 1 << 40}
+	for _, a := range addrs {
+		s.Write(a, 1)
+	}
+	var sum uint64
+	accesses := func() {
+		for _, a := range addrs {
+			s.Write(a, s.Read(a)+1)
+			sum += s.ReadLine(a)[a.WordIndex()]
+		}
+		sum += s.Read(0x2_0000) + s.ReadLine(0x2_0000)[0]
+	}
+	if n := testing.AllocsPerRun(100, accesses); n != 0 {
+		t.Fatalf("Store accesses allocated %.1f times per round, want 0", n)
+	}
+	if sum == 0 {
+		t.Fatal("reads saw no written value")
+	}
+}
+
+// TestStorePages: words on both sides of a page boundary, and of the
+// dense range's end, are independent, and unwritten memory reads zero.
+func TestStorePages(t *testing.T) {
+	s := NewStore()
+	for i, a := range []proto.Addr{pageBytes - proto.WordBytes, pageBytes, denseLimit - proto.WordBytes, denseLimit, 1 << 40} {
+		s.Write(a, uint64(i+1))
+	}
+	for i, a := range []proto.Addr{pageBytes - proto.WordBytes, pageBytes, denseLimit - proto.WordBytes, denseLimit, 1 << 40} {
+		if got := s.Read(a); got != uint64(i+1) {
+			t.Fatalf("Read(%v) = %d, want %d", a, got, i+1)
+		}
+	}
+	if line := s.ReadLine(denseLimit); line[0] != 4 || line[1] != 0 {
+		t.Fatalf("ReadLine above the dense range = %v", line)
+	}
+	if s.Read(2*pageBytes) != 0 || s.Read(denseLimit+pageBytes) != 0 {
+		t.Fatal("unwritten memory is not zero")
 	}
 }
 

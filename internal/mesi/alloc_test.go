@@ -55,14 +55,13 @@ func TestMissesAllocateNothing(t *testing.T) {
 	addr := proto.Addr(0x140)
 	var got uint64
 	done := func(v uint64) { got = v }
-	inc := proto.RMWOp(func(old uint64) (uint64, bool) { return old + 1, true })
 	rounds := uint64(0)
 	round := func() {
 		for _, c := range l1s[1:] {
 			c.Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: done})
 		}
 		eng.Run(0)
-		l1s[0].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr, RMW: inc, Done: done})
+		l1s[0].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr, RMW: proto.RMWFetchAdd, Args: [2]uint64{1}, Done: done})
 		eng.Run(0)
 		l1s[1].Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: done})
 		eng.Run(0)

@@ -368,7 +368,7 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 			old := c.cfg.Store.Read(req.Addr)
 			switch req.Kind {
 			case proto.SyncRMW:
-				if nv, doStore := req.RMW(old); doStore {
+				if nv, doStore := proto.ApplyRMW(&req, old); doStore {
 					line.Values[wi] = nv
 					c.cfg.Store.Write(req.Addr, nv)
 				}

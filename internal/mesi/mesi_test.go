@@ -91,7 +91,7 @@ func TestSharersThenInvalidate(t *testing.T) {
 	}
 	doneW := false
 	l1s[3].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr,
-		RMW:  func(old uint64) (uint64, bool) { return old + 1, true },
+		RMW: proto.RMWFetchAdd, Args: [2]uint64{1},
 		Done: func(uint64) { doneW = true }})
 	eng.Run(0)
 	if !doneW {

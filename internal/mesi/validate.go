@@ -28,11 +28,8 @@ func (d *Directory) Validate(l1s []*L1) error {
 	if dr := d.cfg.DRAM; dr != nil && dr.InFlight() != 0 {
 		return fmt.Errorf("mesi: %d memory fetches unanswered at quiescence", dr.InFlight())
 	}
-	type holder struct {
-		owners  []proto.CoreID
-		sharers []proto.CoreID
-	}
-	lines := map[proto.Addr]*holder{}
+	// held lists every line an L1 holds, in L1 order.
+	var held []heldLine
 	for _, c := range l1s {
 		if n := c.inbox.Len(); n != 0 {
 			return fmt.Errorf("mesi: L1 %d holds %d undelivered messages at quiescence", c.id, n)
@@ -42,14 +39,9 @@ func (d *Directory) Validate(l1s []*L1) error {
 		}
 		var err error
 		c.cache.ForEach(func(l *cache.Line) {
-			h := lines[l.Addr]
-			if h == nil {
-				h = &holder{}
-				lines[l.Addr] = h
-			}
 			switch l.LineState {
 			case lm, le:
-				h.owners = append(h.owners, c.id)
+				held = append(held, heldLine{l.Addr, c.id, true})
 				for i := 0; i < proto.WordsPerLine; i++ {
 					a := l.Addr + proto.Addr(i*proto.WordBytes)
 					if l.Values[i] != d.cfg.Store.Read(a) {
@@ -57,7 +49,7 @@ func (d *Directory) Validate(l1s []*L1) error {
 					}
 				}
 			case ls:
-				h.sharers = append(h.sharers, c.id)
+				held = append(held, heldLine{l.Addr, c.id, false})
 			case li:
 				// Present lines are never left Invalid: Install is always
 				// immediately followed by a state assignment.
@@ -70,41 +62,66 @@ func (d *Directory) Validate(l1s []*L1) error {
 			return err
 		}
 	}
-	// Report errors in a fixed line order: which violation surfaces first
-	// must not depend on map iteration order.
-	addrs := make([]proto.Addr, 0, len(lines))
-	for line := range lines { //simlint:allow determinism: keys are sorted before use
-		addrs = append(addrs, line)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, line := range addrs {
-		h := lines[line]
-		if len(h.owners) > 1 {
-			return fmt.Errorf("mesi: line %v owned by %v", line, h.owners)
+	// Check each line's run of holders in address order, so which
+	// violation surfaces first is fixed; the stable sort keeps each run's
+	// cores in L1 order.
+	sort.SliceStable(held, func(i, j int) bool { return held[i].line < held[j].line })
+	for i := 0; i < len(held); {
+		line, j := held[i].line, i+1
+		for j < len(held) && held[j].line == line {
+			j++
 		}
-		if len(h.owners) == 1 && len(h.sharers) > 0 {
-			return fmt.Errorf("mesi: line %v owned by %d with sharers %v", line, h.owners[0], h.sharers)
+		run := held[i:j]
+		i = j
+		owners := 0
+		var owner proto.CoreID
+		for _, h := range run {
+			if h.owner {
+				owners, owner = owners+1, h.core
+			}
+		}
+		if owners > 1 {
+			return fmt.Errorf("mesi: line %v owned by %v", line, holders(run, true))
+		}
+		if owners == 1 && len(run) > 1 {
+			return fmt.Errorf("mesi: line %v owned by %d with sharers %v", line, owner, holders(run, false))
 		}
 		e := d.lookup(line)
 		if e == nil {
-			if len(h.owners)+len(h.sharers) > 0 {
-				return fmt.Errorf("mesi: line %v cached but unknown to the directory", line)
-			}
-			continue
+			return fmt.Errorf("mesi: line %v cached but unknown to the directory", line)
 		}
 		if e.busy {
 			return fmt.Errorf("mesi: directory busy for line %v at quiescence", line)
 		}
-		if len(h.owners) == 1 {
-			if e.state != dm || e.owner == nil || e.owner.id != h.owners[0] {
+		if owners == 1 {
+			if e.state != dm || e.owner == nil || e.owner.id != owner {
 				return fmt.Errorf("mesi: directory/owner mismatch for line %v", line)
 			}
 		}
-		for _, s := range h.sharers {
-			if e.state != ds || !e.sharers.Has(s) {
-				return fmt.Errorf("mesi: sharer %d of line %v missing from directory", s, line)
+		for _, h := range run {
+			if !h.owner && (e.state != ds || !e.sharers.Has(h.core)) {
+				return fmt.Errorf("mesi: sharer %d of line %v missing from directory", h.core, line)
 			}
 		}
 	}
 	return nil
+}
+
+// heldLine records that core holds line, as its owner (M/E) or a sharer
+// (S) (see Validate).
+type heldLine struct {
+	line  proto.Addr
+	core  proto.CoreID
+	owner bool
+}
+
+// holders returns the cores of run that own the line (owners) or share it.
+func holders(run []heldLine, owners bool) []proto.CoreID {
+	var out []proto.CoreID
+	for _, h := range run {
+		if h.owner == owners {
+			out = append(out, h.core)
+		}
+	}
+	return out
 }

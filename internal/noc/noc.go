@@ -124,6 +124,9 @@ func New(eng *sim.Engine, mesh Mesh, perHopNum, perHopDen sim.Cycle) *Network {
 	if perHopDen == 0 {
 		panic("noc: zero per-hop denominator")
 	}
+	if perHopNum == 0 {
+		panic("noc: zero per-hop latency") // an arrival takes at least a cycle
+	}
 	return &Network{
 		Mesh: mesh, eng: eng, perHopNum: perHopNum, perHopDen: perHopDen,
 		eps: make([]endpoint, mesh.Tiles()+NumMemCtrl),
@@ -180,7 +183,7 @@ func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, r
 	}
 	ctr := n.eps[src].arrivalSeq
 	n.eps[src].arrivalSeq++
-	n.eng.ScheduleArrivalAt(now+lat, now, uint32(src), ctr, tag, recv, slot)
+	n.eng.ScheduleArrivalAt(now+lat, uint32(src), ctr, tag, recv, slot)
 	return lat
 }
 

@@ -117,17 +117,47 @@ func (k AccessKind) IsWrite() bool {
 	return k == DataStore || k == SyncStore || k == SyncRMW
 }
 
-// RMWOp is the atomic update applied by a SyncRMW access, evaluated at the
-// point of registration/ownership. old is the current memory value; the
-// returned newVal is stored if store is true (CAS failure stores nothing).
-type RMWOp func(old uint64) (newVal uint64, store bool)
+// RMWOp names the atomic update a SyncRMW access applies at the point of
+// registration/ownership; its operands travel in the Request (see
+// ApplyRMW). The zero value is no operation.
+type RMWOp uint8
+
+const (
+	RMWTestAndSet     RMWOp = iota + 1 // store 1
+	RMWCompareAndSwap                  // store Args[1] if the word equals Args[0]
+	RMWFetchAdd                        // store the word plus Args[0]
+	RMWExchange                        // store Args[0]
+)
+
+// ApplyRMW evaluates req's read-modify-write on old, the current memory
+// value: it returns the value to store and whether to store it (a failed
+// CAS stores nothing). Both L1 controllers call it at their commit point.
+func ApplyRMW(req *Request, old uint64) (newVal uint64, store bool) {
+	switch req.RMW {
+	case RMWTestAndSet:
+		return 1, true
+	case RMWCompareAndSwap:
+		if old == req.Args[0] {
+			return req.Args[1], true
+		}
+		return 0, false
+	case RMWFetchAdd:
+		return old + req.Args[0], true
+	case RMWExchange:
+		return req.Args[0], true
+	}
+	panic("proto: SyncRMW without an RMW operation")
+}
 
 // Request is one memory access handed from a core to its L1 controller.
 type Request struct {
 	Kind  AccessKind
 	Addr  Addr
 	Value uint64 // store value for DataStore/SyncStore
-	RMW   RMWOp  // non-nil for SyncRMW
+
+	// RMW is the update a SyncRMW applies and Args its operands.
+	RMW  RMWOp
+	Args [2]uint64
 
 	// Region tags the address's software region (self-invalidation unit);
 	// recorded at fill so region invalidations can find cached words.

@@ -5,9 +5,10 @@ import "testing"
 // maxCycle is the last representable cycle.
 const maxCycle = ^Cycle(0)
 
-// TestStopMidRingDrain: Stop called from a same-cycle ring event must end
-// the Run after that event, leaving the rest of the ring (and the clock)
-// intact; a later Run resumes the drain in the original FIFO order.
+// TestStopMidRingDrain: Stop called from a zero-delay event must end the
+// Run after that event, leaving the rest of the cycle's events (and the
+// clock) intact; a later Run resumes the drain in the original FIFO
+// order.
 func TestStopMidRingDrain(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -23,14 +24,14 @@ func TestStopMidRingDrain(t *testing.T) {
 		}
 	})
 	n := e.Run(0)
-	if n != 3 { // the seeding event plus ring events 0 and 1
+	if n != 3 { // the seeding event plus zero-delay events 0 and 1
 		t.Fatalf("first Run dispatched %d events, want 3", n)
 	}
 	if e.Now() != 3 {
 		t.Fatalf("clock moved to %d during the stopped drain, want 3", e.Now())
 	}
 	if p := e.Pending(); p != 3 {
-		t.Fatalf("pending = %d after mid-ring stop, want 3", p)
+		t.Fatalf("pending = %d after mid-cycle stop, want 3", p)
 	}
 	e.Run(0)
 	want := []int{0, 1, 2, 3, 4}
@@ -45,22 +46,23 @@ func TestStopMidRingDrain(t *testing.T) {
 }
 
 // TestOrderingAtCycleOverflowBoundary: events at the last representable
-// cycle still order heap-before-ring, and the clock saturates at maxCycle
-// without wrapping.
+// cycle still dispatch by schedule time — a far (heap) event before the
+// wheel's — and the clock saturates at maxCycle without wrapping.
 func TestOrderingAtCycleOverflowBoundary(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	e.At(maxCycle-1, func() {
 		got = append(got, 1)
-		e.Schedule(1, func() { // heap event at maxCycle, schedAt maxCycle-1
+		e.Schedule(1, func() { // wheel event at maxCycle, schedAt maxCycle-1
 			got = append(got, 2)
-			e.Schedule(0, func() { got = append(got, 4) }) // ring at maxCycle
+			e.Schedule(0, func() { got = append(got, 4) }) // zero delay at maxCycle
 		})
 	})
-	e.At(maxCycle, func() { got = append(got, 3) }) // schedAt 0: before the ring, after nothing earlier...
+	e.At(maxCycle, func() { got = append(got, 3) }) // heap event, schedAt 0: first at maxCycle
 	e.Run(0)
 	// At maxCycle: the At-scheduled event (schedAt 0) precedes the
-	// Schedule(1) event (schedAt maxCycle-1); both precede the ring event.
+	// Schedule(1) event (schedAt maxCycle-1); both precede the zero-delay
+	// event.
 	want := []int{1, 3, 2, 4}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
@@ -80,8 +82,10 @@ func TestArrivalOrderingAtOverflowBoundary(t *testing.T) {
 	// Two arrivals sent at maxCycle-1 from different sources, and one
 	// band-0 event scheduled earlier for the same cycle: band 0 first,
 	// then arrivals by (src, ctr).
-	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 7, 5, 0, func(uint64) { got = append(got, 3) }, 0)
-	e.ScheduleArrivalAt(maxCycle, maxCycle-1, 2, 9, 0, func(uint64) { got = append(got, 2) }, 0)
+	e.At(maxCycle-1, func() {
+		e.ScheduleArrivalAt(maxCycle, 7, 5, 0, func(uint64) { got = append(got, 3) }, 0)
+		e.ScheduleArrivalAt(maxCycle, 2, 9, 0, func(uint64) { got = append(got, 2) }, 0)
+	})
 	e.At(maxCycle, func() { got = append(got, 1) }) // schedAt 0 < maxCycle-1
 	e.Run(0)
 	want := []int{1, 2, 3}

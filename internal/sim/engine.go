@@ -3,30 +3,40 @@
 // protocol controllers, and the cores.
 //
 // One single-threaded engine drives a whole machine. All simulated
-// concurrency is expressed as events on a priority queue ordered by the
-// key
+// concurrency is expressed as events dispatched in the order of the key
 //
 //	(at, schedAt, band|payload)
 //
-// where at is the dispatch cycle, schedAt the cycle the event was created,
-// and the final word breaks remaining ties: locally scheduled events
-// (band 0) carry the engine's own sequence number — FIFO by schedule
-// order — and cross-router message arrivals (band 1, see
-// ScheduleArrivalAt) carry (source node, per-source message counter). The
-// arrival band is what orders same-cycle arrivals in every golden and
-// digest recorded so far, so it stays even though one engine could order
-// them by sequence number alone: switching would reorder those arrivals
-// and move every recorded result.
+// where at is the dispatch cycle, schedAt the cycle the event was created
+// (always the clock at the moment it was scheduled), and the final word
+// breaks remaining ties: locally scheduled events (band 0) carry the
+// engine's own sequence number — FIFO by schedule order — and
+// cross-router message arrivals (band 1, see ScheduleArrivalAt) carry
+// (source node, per-source message counter). The arrival band is what
+// orders same-cycle arrivals in every golden and digest recorded so far,
+// so it stays even though one engine could order them by sequence number
+// alone: switching would reorder those arrivals and move every recorded
+// result.
 //
-// Internally the queue is allocation-free on the hot path: events live in
-// a pooled arena recycled through a free list, the priority queue is an
-// index-based binary heap (no interface boxing, 4-byte swaps), and
-// zero-delay events — the most common kind, from completion callbacks and
-// wakeups — bypass the heap entirely through a same-cycle FIFO ring.
-// Dispatch order is a linearization of the key order: every ring event was
-// scheduled while the clock already stood at its cycle (schedAt = at =
-// now), so it sorts after every heap event for that cycle, all of which
-// were created earlier (schedAt < now).
+// The queue is a hashed timing wheel in front of a binary heap, and it
+// allocates nothing on the hot path: events live in a pooled arena
+// recycled through a free list. An event due fewer than wheelSize (64)
+// cycles ahead — nearly all of them, zero-delay completions and wakeups
+// included — goes on its cycle's list in the wheel, threaded through the
+// arena; a uint64 occupancy mask finds the next non-empty cycle with one
+// rotate and one trailing-zero count. Only events due wheelSize or more
+// cycles ahead go on the index-based heap. Dispatch order is exactly the
+// key order:
+//
+//   - at cycle t, heap events come first: each was scheduled at least
+//     wheelSize cycles before t, and every wheel event for t was
+//     scheduled later than that, so the heap events' schedAt is lower;
+//   - a cycle's list is kept sorted by (schedAt, key). An event is
+//     scheduled at the current clock, the list's largest schedAt, so it
+//     is inserted from the tail and nearly always stays there. Only two
+//     kinds of event ever move forward: an arrival out of (src, ctr)
+//     order among the arrivals sent this cycle, and a band-0 event
+//     behind arrivals sent this cycle for the same cycle.
 //
 // Events are typed, so that hot paths schedule without allocating. An
 // event runs either a func() or a func(uint64) with an argument
@@ -43,13 +53,15 @@
 // number, whatever its form.
 package sim
 
+import "math/bits"
+
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
 // event is work scheduled to run at a particular cycle: fn(), or
 // call(arg) when call is set. schedAt and key order same-cycle events
 // deterministically (see the package comment). Events are pooled: next
-// links free arena slots.
+// links free arena slots, and next and prev link a wheel cycle's list.
 type event struct {
 	at      Cycle
 	schedAt Cycle
@@ -57,8 +69,9 @@ type event struct {
 	fn      func()
 	call    func(uint64)
 	arg     uint64
+	next    int32 // free-list or wheel-list link; -1 terminates
+	prev    int32 // wheel-list back link; -1 at the list head
 	tag     Tag
-	next    int32 // free-list link; -1 terminates
 }
 
 // Tag labels an event for per-tag dispatch counting (see Dispatched).
@@ -78,17 +91,33 @@ const arrivalBand = uint64(1) << 63
 // key; the source node occupies the bits above it.
 const arrivalCtrBits = 40
 
-// Engine is a discrete-event simulator. The zero value is ready to use.
+// wheelSize is the timing wheel's span in cycles: an event due fewer than
+// wheelSize cycles ahead goes on the wheel, a later one on the heap. It
+// equals the occupancy mask's width. Measured on the benchmark workloads,
+// 0.06–3.6% of schedules land this far ahead.
+const wheelSize = 64
+
+// wheelList is one cycle's events in dispatch order: the arena indices of
+// its first and last event. It is meaningful only while the cycle's bit
+// in Engine.occupied is set.
+type wheelList struct{ head, tail int32 }
+
+// Engine is a discrete-event simulator. Create one with NewEngine.
 type Engine struct {
 	arena []event // pooled event storage
 	free  int32   // head of the free list into arena
-	heap  []int32 // binary heap of arena indices, ordered by (at, schedAt, key)
 
-	// ring is the same-cycle fast path: a circular FIFO of arena indices
-	// for events scheduled with zero delay. All ring events are at e.now.
-	ring     []int32
-	ringHead int
-	ringLen  int
+	// wheel[c%wheelSize] lists the events due at cycle c, for every c in
+	// [now, now+wheelSize); bit c%wheelSize of occupied is set when that
+	// list is non-empty. wheelLen counts the events on all lists.
+	wheel    [wheelSize]wheelList
+	occupied uint64
+	wheelLen int
+
+	// heap holds the events due wheelSize or more cycles after they were
+	// scheduled: a binary heap of arena indices ordered by (at, schedAt,
+	// key).
+	heap []int32
 
 	now     Cycle
 	seq     uint64
@@ -108,16 +137,17 @@ func NewEngine() *Engine { return &Engine{free: nilIdx} }
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// alloc takes an arena slot from the free list (or grows the arena) and
-// sets its ordering key; the caller sets the payload and tag.
-func (e *Engine) alloc(at, schedAt Cycle, key uint64) int32 {
+// alloc takes an arena slot from the free list (or grows the arena) for
+// an event due at cycle at and scheduled now; the caller sets the payload
+// and tag.
+func (e *Engine) alloc(at Cycle, key uint64) int32 {
 	if i := e.free; i != nilIdx {
 		ev := &e.arena[i]
 		e.free = ev.next
-		ev.at, ev.schedAt, ev.key = at, schedAt, key
+		ev.at, ev.schedAt, ev.key = at, e.now, key
 		return i
 	}
-	e.arena = append(e.arena, event{at: at, schedAt: schedAt, key: key})
+	e.arena = append(e.arena, event{at: at, schedAt: e.now, key: key})
 	return int32(len(e.arena) - 1)
 }
 
@@ -168,14 +198,10 @@ func (e *Engine) schedule(delay Cycle, fn func(), call func(uint64), arg uint64,
 		panic("sim: Schedule with nil fn")
 	}
 	e.seq++
-	i := e.alloc(e.now+delay, e.now, e.seq)
+	i := e.alloc(e.now+delay, e.seq)
 	ev := &e.arena[i]
 	ev.fn, ev.call, ev.arg, ev.tag = fn, call, arg, tag
-	if delay == 0 {
-		e.ringPush(i)
-		return
-	}
-	e.heapPush(i)
+	e.push(i, delay)
 }
 
 func checkTag(tag Tag) {
@@ -184,30 +210,30 @@ func checkTag(tag Tag) {
 	}
 }
 
-// ScheduleArrivalAt enqueues a cross-router message arrival: fn(arg)
-// runs at the absolute cycle at, ordered against all other events by
-// (at, schedAt, src, ctr) rather than by sequence number. schedAt is the
-// cycle the message was sent (strictly before at: cross-router latency
-// is at least one cycle), src the sending node, and ctr the sender's
-// running arrival counter. The key is kept because the recorded goldens
-// and digests were produced under it (see the package comment). The
-// arrival counts under tag when it dispatches.
-func (e *Engine) ScheduleArrivalAt(at, schedAt Cycle, src uint32, ctr uint64, tag Tag, fn func(uint64), arg uint64) {
+// ScheduleArrivalAt enqueues a cross-router message arrival sent now:
+// fn(arg) runs at the absolute cycle at, ordered against all other events
+// by (at, now, src, ctr) rather than by sequence number. src is the
+// sending node and ctr the sender's running arrival counter. The key is
+// kept because the recorded goldens and digests were produced under it
+// (see the package comment). at must be later than now: cross-router
+// latency is at least one cycle, and an arrival due this cycle could sort
+// before events already dispatched. The arrival counts under tag when it
+// dispatches.
+func (e *Engine) ScheduleArrivalAt(at Cycle, src uint32, ctr uint64, tag Tag, fn func(uint64), arg uint64) {
 	if fn == nil {
 		panic("sim: ScheduleArrivalAt with nil fn")
 	}
-	if at < e.now {
-		panic("sim: arrival scheduled in the past")
+	if at <= e.now {
+		panic("sim: arrival due no later than the cycle it was sent")
 	}
 	if ctr >= 1<<arrivalCtrBits {
 		panic("sim: arrival counter overflow")
 	}
 	checkTag(tag)
-	key := arrivalBand | uint64(src)<<arrivalCtrBits | ctr
-	i := e.alloc(at, schedAt, key)
+	i := e.alloc(at, arrivalBand|uint64(src)<<arrivalCtrBits|ctr)
 	ev := &e.arena[i]
 	ev.call, ev.arg, ev.tag = fn, arg, tag
-	e.heapPush(i)
+	e.push(i, at-e.now)
 }
 
 // Dispatched returns the number of events carrying tag that have been
@@ -227,24 +253,32 @@ func (e *Engine) At(t Cycle, fn func()) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports how many events remain queued.
-func (e *Engine) Pending() int { return len(e.heap) + e.ringLen }
+func (e *Engine) Pending() int { return len(e.heap) + e.wheelLen }
+
+// push queues event i, due delay cycles from now.
+func (e *Engine) push(i int32, delay Cycle) {
+	if delay < wheelSize {
+		e.wheelPush(i)
+		return
+	}
+	e.heapPush(i)
+}
 
 // next pops the arena index of the earliest pending event — by (time,
 // schedAt, key) — advancing the clock as needed, or returns nilIdx if the
-// queue is drained. Heap events at the current cycle precede the ring
-// (they were scheduled before the clock reached this cycle, so their
-// schedAt is lower).
+// queue is drained. Heap events at a cycle precede the cycle's wheel list
+// (see the package comment).
 func (e *Engine) next() int32 {
-	if len(e.heap) > 0 && e.arena[e.heap[0]].at == e.now {
-		return e.heapPop()
-	}
-	if e.ringLen > 0 {
-		return e.ringPop()
+	if e.occupied != 0 {
+		t := e.now + Cycle(bits.TrailingZeros64(bits.RotateLeft64(e.occupied, -int(e.now%wheelSize))))
+		if len(e.heap) > 0 && e.arena[e.heap[0]].at <= t {
+			return e.heapNext()
+		}
+		e.now = t
+		return e.wheelPop(t)
 	}
 	if len(e.heap) > 0 {
-		i := e.heapPop()
-		e.now = e.arena[i].at
-		return i
+		return e.heapNext()
 	}
 	return nilIdx
 }
@@ -276,24 +310,61 @@ func (e *Engine) Run(limit uint64) uint64 {
 	return n
 }
 
-// ringPush appends i to the same-cycle FIFO, growing it when full.
-func (e *Engine) ringPush(i int32) {
-	if e.ringLen == len(e.ring) {
-		grown := make([]int32, maxInt(len(e.ring)*2, 16))
-		for k := 0; k < e.ringLen; k++ {
-			grown[k] = e.ring[(e.ringHead+k)%len(e.ring)]
-		}
-		e.ring = grown
-		e.ringHead = 0
+// wheelPush files event i, due fewer than wheelSize cycles from now, on
+// its cycle's list. It walks back from the tail past the events that
+// sort after it: events scheduled this same cycle with a larger key (see
+// the package comment), usually none.
+func (e *Engine) wheelPush(i int32) {
+	ev := &e.arena[i]
+	l := &e.wheel[ev.at%wheelSize]
+	bit := uint64(1) << (ev.at % wheelSize)
+	e.wheelLen++
+	if e.occupied&bit == 0 {
+		e.occupied |= bit
+		ev.prev, ev.next = nilIdx, nilIdx
+		l.head, l.tail = i, i
+		return
 	}
-	e.ring[(e.ringHead+e.ringLen)%len(e.ring)] = i
-	e.ringLen++
+	after, before := nilIdx, l.tail
+	for before != nilIdx {
+		b := &e.arena[before]
+		if b.schedAt != ev.schedAt || b.key <= ev.key {
+			break
+		}
+		after, before = before, b.prev
+	}
+	ev.prev, ev.next = before, after
+	if before == nilIdx {
+		l.head = i
+	} else {
+		e.arena[before].next = i
+	}
+	if after == nilIdx {
+		l.tail = i
+	} else {
+		e.arena[after].prev = i
+	}
 }
 
-func (e *Engine) ringPop() int32 {
-	i := e.ring[e.ringHead]
-	e.ringHead = (e.ringHead + 1) % len(e.ring)
-	e.ringLen--
+// wheelPop unlinks the first event of cycle t's list, which must be
+// non-empty.
+func (e *Engine) wheelPop(t Cycle) int32 {
+	l := &e.wheel[t%wheelSize]
+	i := l.head
+	e.wheelLen--
+	if n := e.arena[i].next; n != nilIdx {
+		l.head = n
+		e.arena[n].prev = nilIdx
+	} else {
+		e.occupied &^= uint64(1) << (t % wheelSize)
+	}
+	return i
+}
+
+// heapNext pops the heap's earliest event and moves the clock to it.
+func (e *Engine) heapNext() int32 {
+	i := e.heapPop()
+	e.now = e.arena[i].at
 	return i
 }
 
@@ -348,11 +419,4 @@ func (e *Engine) heapPop() int32 {
 		p = c
 	}
 	return top
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

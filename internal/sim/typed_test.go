@@ -7,15 +7,15 @@ import (
 )
 
 // TestScheduleCallInterleavesInSeqOrder: typed and closure events share
-// one sequence, so a mix of the two dispatches in schedule order both on
-// the same-cycle ring and on the heap.
+// one sequence, so a mix of the two dispatches in schedule order both
+// among zero-delay events and among events due at a later cycle.
 func TestScheduleCallInterleavesInSeqOrder(t *testing.T) {
 	e := NewEngine()
 	var got []uint64
 	record := func(v uint64) { got = append(got, v) }
 	closure := func(v uint64) func() { return func() { record(v) } }
 
-	// Heap: six events for cycle 5, alternating the two forms.
+	// Six events for cycle 5, alternating the two forms.
 	for v := uint64(0); v < 6; v++ {
 		if v%2 == 0 {
 			e.Schedule(5, closure(v))
@@ -23,7 +23,7 @@ func TestScheduleCallInterleavesInSeqOrder(t *testing.T) {
 			e.ScheduleCall(5, record, v)
 		}
 	}
-	// Ring: from inside a cycle-9 event, six zero-delay events.
+	// From inside a cycle-9 event, six zero-delay events.
 	e.Schedule(9, func() {
 		for v := uint64(10); v < 16; v++ {
 			if v%2 == 1 {
@@ -98,7 +98,7 @@ func TestDispatchedCountsPerTag(t *testing.T) {
 	call := func(uint64) {}
 	e.ScheduleTagged(1, 3, call, 0)
 	e.ScheduleTagged(4, 3, call, 0)
-	e.ScheduleArrivalAt(2, 0, 1, 0, 5, call, 0)
+	e.ScheduleArrivalAt(2, 1, 0, 5, call, 0)
 	e.Schedule(3, nop)
 	e.ScheduleCall(3, func(uint64) {}, 7)
 	if e.Dispatched(3) != 0 || e.Dispatched(5) != 0 {
@@ -137,7 +137,8 @@ func TestScheduleTagRange(t *testing.T) {
 }
 
 // TestScheduleCallAllocatesNothing: scheduling a bound continuation and
-// dispatching it allocates nothing once the arena is warm.
+// dispatching it allocates nothing once the arena is warm, on either side
+// of the wheel bound, and neither does a message arrival.
 func TestScheduleCallAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -145,12 +146,18 @@ func TestScheduleCallAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	var sum uint64
 	add := func(v uint64) { sum += v }
+	var ctr uint64
 	run := func() {
-		e.ScheduleCall(0, add, 1)
-		e.ScheduleCall(3, add, 2)
+		for _, d := range []Cycle{0, 1, 3, 63, 64, 1000} {
+			e.ScheduleCall(d, add, 1)
+		}
+		for _, d := range []Cycle{1, 63, 64, 1000} {
+			e.ScheduleArrivalAt(e.Now()+d, 2, ctr, 1, add, 2)
+			ctr++
+		}
 		e.Run(0)
 	}
-	run() // warm the arena, ring and heap
+	run() // warm the arena and heap
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("ScheduleCall + dispatch allocated %.1f times per run, want 0", n)
 	}
