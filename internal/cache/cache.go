@@ -32,6 +32,10 @@ type Line struct {
 	// proto.MaxRegions (64), so a byte holds one, and a cache's lines,
 	// which every machine build allocates and zeroes, stay small.
 	Regions [proto.WordsPerLine]uint8
+	// Grant is a protocol-owned stamp of the transaction that installed
+	// the line: MESI keeps the directory epoch of an E/M line's exclusive
+	// grant here and returns it on the eviction Put. Install zeroes it.
+	Grant uint64
 
 	// lru is the set-relative recency stamp (bigger = more recent).
 	lru uint64
@@ -148,6 +152,7 @@ func (c *Cache) Install(l *Line, addr proto.Addr) {
 	l.Addr = addr.Line()
 	l.Present = true
 	l.LineState = 0
+	l.Grant = 0
 	l.ClearWords()
 	c.tags[c.slot(l, addr)] = l.Addr
 	c.Touch(l)

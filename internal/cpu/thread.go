@@ -240,20 +240,24 @@ func (t *Thread) SetPhase(p Phase) {
 	t.queue(step{kind: stepPhase, phase: p})
 }
 
-// Epoch samples the local disturbance counter for addr, after flushing;
-// pair with WaitDisturb to implement efficient spin-waiting.
+// Epoch samples addr for a spin, after flushing, and returns the
+// sample's number; pair it with a load and WaitDisturb to implement
+// efficient spin-waiting (see proto.L1Controller). The L1 keeps one
+// watch, so a new sample supersedes the previous one: wait on the latest
+// sample only.
 func (t *Thread) Epoch(addr proto.Addr) uint64 {
 	t.Flush()
 	return t.core.l1.Epoch(addr)
 }
 
-// WaitDisturb waits until the cached state of addr's word is disturbed by
-// remote protocol activity (epoch advances past the sampled epoch). The
+// WaitDisturb waits until the cached state of addr is disturbed by remote
+// protocol activity, an eviction or a self-invalidation after sample was
+// taken; at once if it already was, or if sample has been superseded. The
 // wait is charged as compute: architecturally the core is spinning on
 // local cache hits (the paper notes spin hits dominate compute time).
 // Batched.
-func (t *Thread) WaitDisturb(addr proto.Addr, epoch uint64) {
-	t.queue(step{kind: stepWait, addr: addr, value: epoch})
+func (t *Thread) WaitDisturb(addr proto.Addr, sample uint64) {
+	t.queue(step{kind: stepWait, addr: addr, value: sample})
 }
 
 // SpinSyncLoadUntil repeatedly sync-loads addr until pred accepts the

@@ -45,7 +45,9 @@ func TestHitsAllocateNothing(t *testing.T) {
 // SyncRMW/SyncLoad ping-pong on one word allocates nothing. Every access
 // misses, so each transfer is a registration to the registry, a forward
 // to the previous registrant and an ack back — messages, continuations,
-// transaction records and their waiter lists included.
+// transaction records and their waiter lists included. Between the two,
+// core 0 spins on the word it holds: Epoch, then WaitDisturb, which core
+// 1's sync read wakes when it downgrades core 0's copy.
 func TestRegistrationTransferAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -54,10 +56,12 @@ func TestRegistrationTransferAllocatesNothing(t *testing.T) {
 	addr := proto.Addr(0x140)
 	var got uint64
 	done := func(v uint64) { got = v }
-	rounds := uint64(0)
+	rounds, wakes := uint64(0), uint64(0)
+	woken := func() { wakes++ }
 	pingPong := func() {
 		l1s[0].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr, RMW: proto.RMWFetchAdd, Args: [2]uint64{1}, Done: done})
 		eng.Run(0)
+		l1s[0].WaitDisturb(addr, l1s[0].Epoch(addr), woken)
 		l1s[1].Access(proto.Request{Kind: proto.SyncLoad, Addr: addr, Done: done})
 		eng.Run(0)
 		rounds++
@@ -73,6 +77,9 @@ func TestRegistrationTransferAllocatesNothing(t *testing.T) {
 	}
 	if got != rounds || reg.OwnerOf(addr) != 1 {
 		t.Fatalf("sync read got %d after %d increments, owner %d; want equal and owner 1", got, rounds, reg.OwnerOf(addr))
+	}
+	if wakes != rounds {
+		t.Fatalf("%d spin wake-ups in %d rounds, want one per round", wakes, rounds)
 	}
 	if err := reg.Validate(l1s); err != nil {
 		t.Fatal(err)

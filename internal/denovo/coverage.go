@@ -83,6 +83,21 @@ func (c *L1) observeKind(s cache.WordState, event string, k proto.AccessKind) {
 	}
 }
 
+// observeWord reports event in word's current cached state, looking the
+// state up only when an observer is attached.
+func (c *L1) observeWord(word proto.Addr, event string) {
+	if c.obs != nil {
+		c.obs(CtrlL1, WordStateName(c.wordState(word)), event)
+	}
+}
+
+// observeWordKind is observeWord for an access-kind-qualified event.
+func (c *L1) observeWordKind(word proto.Addr, event string, k proto.AccessKind) {
+	if c.obs != nil {
+		c.obs(CtrlL1, WordStateName(c.wordState(word)), event+":"+k.String())
+	}
+}
+
 func (r *Registry) observe(s regOwnerState, event string) {
 	if r.obs != nil {
 		r.obs(CtrlReg, OwnerStateName(s), event)

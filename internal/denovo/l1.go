@@ -29,6 +29,24 @@ type wtxn struct {
 	parked  []parkedFwd
 }
 
+// wbEntry is a coherence unit whose eviction writeback the registry has
+// not acked yet, with the accesses that wait for the ack.
+type wbEntry struct {
+	unit    proto.Addr
+	waiters []retry
+}
+
+// spinWatch is the L1's disturbance watch (see Epoch): the word its core
+// last sampled, whether that word has been disturbed since, and the
+// WaitDisturb callbacks to wake when it is. The waiter list keeps its
+// storage once drained.
+type spinWatch struct {
+	word      proto.Addr
+	sample    uint64 // bumped by every Epoch
+	disturbed bool
+	waiters   []func()
+}
+
 // L1 is one core's private DeNovo cache controller, implementing
 // DeNovoSync0 (cfg.Backoff = false) or DeNovoSync (true).
 type L1 struct {
@@ -38,8 +56,12 @@ type L1 struct {
 	node proto.NodeID
 	reg  *Registry
 
-	cache   *cache.Cache
-	txns    map[proto.Addr]*wtxn
+	cache *cache.Cache
+	// txns is the outstanding-miss file: one record per coherence unit
+	// with a registration in flight and per word with a data read in
+	// flight, searched linearly (findTxn). A core keeps few misses
+	// outstanding, so scanning a short slice beats hashing.
+	txns    []*wtxn
 	txnFree []*wtxn // completed transactions, for reuse (see allocTxn)
 	regions proto.RegionMapper
 
@@ -57,16 +79,12 @@ type L1 struct {
 	// continuation.
 	storeDoneFn func(uint64)
 
-	epochs map[proto.Addr]uint64 // per word
-	// disturbs holds, per word, the WaitDisturb callbacks; a word's list
-	// keeps its storage once drained.
-	disturbs map[proto.Addr][]func()
+	watch spinWatch
 
-	// wbPending marks words whose eviction writeback has not been acked
-	// by the registry yet; re-registrations of those words wait (see
-	// registry.recvWB for the deadlock this prevents).
-	wbPending map[proto.Addr]bool
-	wbWaiters map[proto.Addr][]retry
+	// wbs holds the coherence units whose eviction writeback has not been
+	// acked by the registry yet; re-registrations of those units wait
+	// (see registry.recvWB for the deadlock this prevents).
+	wbs []wbEntry
 	// wbBound records, per coherence unit, the registry serial carried by
 	// the last writeback ack. A forwarded registration stamped with an
 	// older serial was generated before that writeback serialized, so it
@@ -100,19 +118,14 @@ type L1 struct {
 // nil (all data in region 0).
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID, regions proto.RegionMapper) *L1 {
 	c := &L1{
-		cfg:       cfg,
-		eng:       cfg.Eng,
-		id:        id,
-		node:      node,
-		cache:     cache.New(cfg.L1Size, cfg.L1Ways),
-		txns:      make(map[proto.Addr]*wtxn),
-		regions:   regions,
-		epochs:    make(map[proto.Addr]uint64),
-		disturbs:  make(map[proto.Addr][]func()),
-		wbPending: make(map[proto.Addr]bool),
-		wbWaiters: make(map[proto.Addr][]retry),
-		wbBound:   make(map[proto.Addr]uint64),
-		incCtr:    cfg.initialIncrement(),
+		cfg:     cfg,
+		eng:     cfg.Eng,
+		id:      id,
+		node:    node,
+		cache:   cache.New(cfg.L1Size, cfg.L1Ways),
+		regions: regions,
+		wbBound: make(map[proto.Addr]uint64),
+		incCtr:  cfg.initialIncrement(),
 	}
 	c.storeDoneFn = func(uint64) { c.storeCommitted() }
 	c.recvFn = c.recv
@@ -175,6 +188,49 @@ func (c *L1) freeTxn(t *wtxn) {
 	c.txnFree = append(c.txnFree, t)
 }
 
+// findTxn returns the outstanding transaction for addr (a coherence unit
+// for registrations, a word for data reads), or nil.
+func (c *L1) findTxn(addr proto.Addr) *wtxn {
+	for _, t := range c.txns {
+		if t.word == addr {
+			return t
+		}
+	}
+	return nil
+}
+
+// dropTxn removes t from the outstanding-miss file, so that the accesses
+// it completes can start a new transaction for its address; freeTxn
+// recycles it once they have run.
+func (c *L1) dropTxn(t *wtxn) {
+	last := len(c.txns) - 1
+	for i, u := range c.txns {
+		if u == t {
+			c.txns[i] = c.txns[last]
+			c.txns = c.txns[:last]
+			return
+		}
+	}
+	panic("denovo: dropping a transaction that is not outstanding")
+}
+
+// findWB returns the index in wbs of unit's unacked writeback, or -1.
+func (c *L1) findWB(unit proto.Addr) int {
+	for i := range c.wbs {
+		if c.wbs[i].unit == unit {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropWB removes wbs[i]; the caller has taken its waiters.
+func (c *L1) dropWB(i int) {
+	last := len(c.wbs) - 1
+	c.wbs[i] = c.wbs[last]
+	c.wbs = c.wbs[:last]
+}
+
 // SetRegistry wires the shared registry (after construction).
 func (c *L1) SetRegistry(r *Registry) { c.reg = r }
 
@@ -190,30 +246,39 @@ func (c *L1) BackoffCounter() sim.Cycle { return c.backoffCtr }
 // IncrementCounter exposes the current increment counter value (tests).
 func (c *L1) IncrementCounter() sim.Cycle { return c.incCtr }
 
-// Epoch returns the disturbance counter for addr's word.
-func (c *L1) Epoch(addr proto.Addr) uint64 { return c.epochs[addr.Word()] }
-
-// WaitDisturb calls fn when the word's epoch moves past epoch.
-func (c *L1) WaitDisturb(addr proto.Addr, epoch uint64, fn func()) {
-	w := addr.Word()
-	if c.epochs[w] != epoch {
-		c.eng.Schedule(0, fn)
-		return
-	}
-	c.disturbs[w] = append(c.disturbs[w], fn)
+// Epoch points the L1's watch at addr's word and returns a new sample
+// number (see proto.L1Controller). The superseded sample counts as
+// disturbed: its waiters wake at once.
+func (c *L1) Epoch(addr proto.Addr) uint64 {
+	c.disturb(c.watch.word)
+	w := &c.watch
+	w.word, w.disturbed = addr.Word(), false
+	w.sample++
+	return w.sample
 }
 
-func (c *L1) disturb(word proto.Addr) {
-	c.epochs[word]++
-	ws := c.disturbs[word]
-	if len(ws) == 0 {
+// WaitDisturb calls fn once addr's word is disturbed after sample was
+// taken: at once if it already was, or if sample is not the watch's
+// current sample of that word.
+func (c *L1) WaitDisturb(addr proto.Addr, sample uint64, fn func()) {
+	w := &c.watch
+	if w.disturbed || sample != w.sample || addr.Word() != w.word {
+		c.eng.Schedule(0, fn)
 		return
 	}
-	for _, fn := range ws {
-		c.eng.Schedule(0, fn)
+	w.waiters = append(w.waiters, fn)
+}
+
+// disturb records that the cached state of word changed under the core.
+func (c *L1) disturb(word proto.Addr) {
+	if w := &c.watch; word == w.word {
+		w.disturbed = true
+		for _, fn := range w.waiters {
+			c.eng.Schedule(0, fn)
+		}
+		clear(w.waiters)
+		w.waiters = w.waiters[:0]
 	}
-	clear(ws)
-	c.disturbs[word] = ws[:0]
 }
 
 // OnWritesDrained calls fn once all non-blocking stores have committed.
@@ -337,8 +402,8 @@ func (c *L1) evict(v *cache.Line) {
 	}
 	c.stats.WB++
 	for i, m := range mask {
-		if m && i%uw == 0 {
-			c.wbPending[lineAddr+proto.Addr(i*proto.WordBytes)] = true
+		if unit := lineAddr + proto.Addr(i*proto.WordBytes); m && i%uw == 0 && c.findWB(unit) < 0 {
+			c.wbs = append(c.wbs, wbEntry{unit: unit})
 		}
 	}
 	c.cfg.Net.Send(c.node, c.reg.NodeFor(lineAddr), proto.ClassWB, proto.DataFlits(words),
@@ -356,15 +421,16 @@ func (c *L1) recvWBAck(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, seria
 			continue
 		}
 		word := lineAddr + proto.Addr(i*proto.WordBytes)
-		c.observe(c.wordState(word), "recvWBAck")
+		c.observeWord(word, "recvWBAck")
 		c.wbBound[word] = serial
-		delete(c.wbPending, word)
-		ws := c.wbWaiters[word]
-		if len(ws) > 0 {
-			delete(c.wbWaiters, word)
-			for _, w := range ws {
-				c.access(w.req, w.commit, w.first)
-			}
+		j := c.findWB(word)
+		if j < 0 {
+			continue
+		}
+		ws := c.wbs[j].waiters
+		c.dropWB(j)
+		for _, w := range ws {
+			c.access(w.req, w.commit, w.first)
 		}
 	}
 }
@@ -395,9 +461,12 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 	// A registration (any write, or a sync read) for a unit whose eviction
 	// writeback is still in flight waits for the registry's ack — the
 	// writeback must serialize before our new registration request.
-	if c.wbPending[unit] && req.Kind != proto.DataLoad {
-		c.wbWaiters[unit] = append(c.wbWaiters[unit], retry{req: req, commit: commit, first: first})
-		return
+	if len(c.wbs) > 0 && req.Kind != proto.DataLoad {
+		if i := c.findWB(unit); i >= 0 {
+			e := &c.wbs[i]
+			e.waiters = append(e.waiters, retry{req: req, commit: commit, first: first})
+			return
+		}
 	}
 	widx := req.Addr.WordIndex()
 	line := c.cache.Lookup(req.Addr)
@@ -455,7 +524,7 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		l.Regions[widx] = uint8(req.Region)
 		c.cfg.Store.Write(word, req.Value)
 		c.writeSig.Add(word)
-		if t := c.txns[unit]; t != nil {
+		if t := c.findTxn(unit); t != nil {
 			// A registration for this unit is already in flight (an
 			// earlier store); ride on it.
 			t.onAck = append(t.onAck, commit)
@@ -463,7 +532,7 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		}
 		t := c.allocTxn(unit, req.Kind, true, req.Region)
 		t.onAck = append(t.onAck, commit)
-		c.txns[unit] = t
+		c.txns = append(c.txns, t)
 		c.sendReg(t, 0)
 		return
 
@@ -483,13 +552,13 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		if first {
 			c.stats.Miss(req.Kind)
 		}
-		if t := c.txns[unit]; t != nil {
+		if t := c.findTxn(unit); t != nil {
 			t.waiters = append(t.waiters, retry{req: req, commit: commit})
 			return
 		}
 		t := c.allocTxn(unit, req.Kind, true, req.Region)
 		t.waiters = append(t.waiters, retry{req: req, commit: commit})
-		c.txns[unit] = t
+		c.txns = append(c.txns, t)
 		// DeNovoSync: a sync read to Valid state stalls for the backoff
 		// counter before issuing its miss (§4.2.1). Reads to Invalid state
 		// (initial reads) issue immediately.
@@ -536,13 +605,13 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		if first {
 			c.stats.Miss(req.Kind)
 		}
-		if t := c.txns[unit]; t != nil {
+		if t := c.findTxn(unit); t != nil {
 			t.waiters = append(t.waiters, retry{req: req, commit: commit})
 			return
 		}
 		t := c.allocTxn(unit, req.Kind, true, req.Region)
 		t.waiters = append(t.waiters, retry{req: req, commit: commit})
-		c.txns[unit] = t
+		c.txns = append(c.txns, t)
 		// Sync writes are never delayed by backoff (§4.2.4).
 		c.sendReg(t, 0)
 		return
@@ -565,13 +634,13 @@ func (c *L1) issueReg(word proto.Addr, kind proto.AccessKind) {
 // readMiss issues a plain data-read request (no registration).
 func (c *L1) readMiss(req proto.Request, commit func(uint64), first bool) {
 	word := req.Addr.Word()
-	if t := c.txns[word]; t != nil {
+	if t := c.findTxn(word); t != nil {
 		t.waiters = append(t.waiters, retry{req: req, commit: commit})
 		return
 	}
 	t := c.allocTxn(word, req.Kind, false, req.Region)
 	t.waiters = append(t.waiters, retry{req: req, commit: commit})
-	c.txns[word] = t
+	c.txns = append(c.txns, t)
 	c.eng.ScheduleCall(c.cfg.L1AccessLat, c.recvFn, c.inbox.Post(msg{kind: mReadMiss, addr: word}))
 }
 
@@ -615,12 +684,11 @@ func (c *L1) finishTxn(lineAddr proto.Addr, mask [proto.WordsPerLine]bool) {
 		if !mask[i] {
 			continue
 		}
-		word := lineAddr + proto.Addr(i*proto.WordBytes)
-		t := c.txns[word]
+		t := c.findTxn(lineAddr + proto.Addr(i*proto.WordBytes))
 		if t == nil || t.isReg {
 			continue
 		}
-		delete(c.txns, word)
+		c.dropTxn(t)
 		for _, w := range t.waiters {
 			c.access(w.req, w.commit, w.first)
 		}
@@ -641,7 +709,7 @@ func (c *L1) recvFwdDataRead(word proto.Addr, from *L1) {
 // answerRead answers a forwarded data read once the remote-L1 access
 // latency has passed (see recvFwdDataRead).
 func (c *L1) answerRead(word proto.Addr, from *L1) {
-	c.observe(c.wordState(word), "recvFwdDataRead")
+	c.observeWord(word, "recvFwdDataRead")
 	lineAddr := word.Line()
 	var mask [proto.WordsPerLine]bool
 	var vals [proto.WordsPerLine]uint64
@@ -673,12 +741,12 @@ func (c *L1) answerRead(word proto.Addr, from *L1) {
 //
 //atlas:unreachable denovo.L1 * recvRegAck:DataLoad: data loads never register — they complete via recvDataFill
 func (c *L1) recvRegAck(word proto.Addr, kind proto.AccessKind, val uint64) {
-	t := c.txns[word]
+	t := c.findTxn(word)
 	if t == nil {
 		panic("denovo: registration ack for absent transaction")
 	}
-	c.observeKind(c.wordState(word), "recvRegAck", kind)
-	delete(c.txns, word)
+	c.observeWordKind(word, "recvRegAck", kind)
+	c.dropTxn(t)
 
 	switch kind {
 	case proto.SyncLoad, proto.SyncStore, proto.SyncRMW:
@@ -733,9 +801,9 @@ func (c *L1) recvRegAck(word proto.Addr, kind proto.AccessKind, val uint64) {
 // targets relinquished ownership and is answered immediately from the
 // committed image, without touching the new registration.
 func (c *L1) recvFwdReg(word proto.Addr, kind proto.AccessKind, from *L1, serial uint64) {
-	c.observeKind(c.wordState(word), "recvFwdReg", kind)
+	c.observeWordKind(word, "recvFwdReg", kind)
 	stale := serial < c.wbBound[c.cfg.unitOf(word)]
-	if t := c.txns[word]; t != nil && t.isReg && !stale {
+	if t := c.findTxn(word); t != nil && t.isReg && !stale {
 		t.parked = append(t.parked, parkedFwd{kind: kind, from: from})
 		return
 	}

@@ -18,8 +18,8 @@ import (
 // stable-state invariant checks.
 func (c *L1) OutstandingWords() []proto.Addr {
 	out := make([]proto.Addr, 0, len(c.txns))
-	for word := range c.txns { //simlint:allow determinism: keys are sorted before use
-		out = append(out, word)
+	for _, t := range c.txns {
+		out = append(out, t.word)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -30,7 +30,7 @@ func (c *L1) OutstandingWords() []proto.Addr {
 // queue), in arrival order. Empty if the word has no outstanding
 // transaction.
 func (c *L1) ParkedRequesters(word proto.Addr) []proto.CoreID {
-	t := c.txns[word]
+	t := c.findTxn(word)
 	if t == nil {
 		return nil
 	}
@@ -46,8 +46,8 @@ func (c *L1) ParkedRequesters(word proto.Addr) []proto.CoreID {
 // and exempt from stable-state invariant checks.
 func (c *L1) PendingWritebacks() []proto.Addr {
 	var out []proto.Addr
-	for word := range c.wbPending { //simlint:allow determinism: keys are sorted before use
-		out = append(out, word)
+	for _, e := range c.wbs {
+		out = append(out, e.unit)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -79,10 +79,7 @@ func newRegLine() *regLine {
 type Registry struct {
 	cfg   *Config
 	tiles int
-	// lines is sharded per home bank: lines[b] holds the lines whose L2
-	// bank is tile b, and is touched only by events running at that
-	// tile.
-	lines []map[proto.Addr]*regLine
+	lines map[proto.Addr]*regLine // by line address, across all banks
 	l1s   []*L1
 
 	// inbox holds the messages in flight to the registry, including the
@@ -98,10 +95,7 @@ type Registry struct {
 
 // NewRegistry creates the registry for a tiles-tile system.
 func NewRegistry(cfg *Config, tiles int) *Registry {
-	r := &Registry{cfg: cfg, tiles: tiles, lines: make([]map[proto.Addr]*regLine, tiles)}
-	for i := range r.lines {
-		r.lines[i] = make(map[proto.Addr]*regLine)
-	}
+	r := &Registry{cfg: cfg, tiles: tiles, lines: make(map[proto.Addr]*regLine)}
 	r.recvFn = r.recv
 	return r
 }
@@ -141,27 +135,24 @@ func (r *Registry) NodeFor(line proto.Addr) proto.NodeID {
 }
 
 func (r *Registry) line(addr proto.Addr) *regLine {
-	bank := r.lines[int(addr.Line()/proto.LineBytes)%r.tiles]
-	l := bank[addr.Line()]
+	l := r.lines[addr.Line()]
 	if l == nil {
 		l = newRegLine()
-		bank[addr.Line()] = l
+		r.lines[addr.Line()] = l
 	}
 	return l
 }
 
 // lookup returns word's line record without creating it (nil if unknown).
 func (r *Registry) lookup(addr proto.Addr) *regLine {
-	return r.lines[int(addr.Line()/proto.LineBytes)%r.tiles][addr.Line()]
+	return r.lines[addr.Line()]
 }
 
-// forEachLine visits every line record across all banks (diagnostics and
-// validation only; callers sort whatever they collect).
+// forEachLine visits every line record (diagnostics and validation only;
+// callers sort whatever they collect).
 func (r *Registry) forEachLine(fn func(proto.Addr, *regLine)) {
-	for _, bank := range r.lines {
-		for lineAddr, e := range bank { //simlint:allow determinism: callers sort collected keys
-			fn(lineAddr, e)
-		}
+	for lineAddr, e := range r.lines { //simlint:allow determinism: callers sort collected keys
+		fn(lineAddr, e)
 	}
 }
 

@@ -36,8 +36,8 @@ func (r *Registry) Validate(l1s []*L1) error {
 		if len(c.txns) != 0 {
 			return fmt.Errorf("denovo: L1 %d has %d outstanding transactions at quiescence", c.id, len(c.txns))
 		}
-		if len(c.wbPending) != 0 {
-			return fmt.Errorf("denovo: L1 %d has %d unacked writebacks at quiescence", c.id, len(c.wbPending))
+		if len(c.wbs) != 0 {
+			return fmt.Errorf("denovo: L1 %d has %d unacked writebacks at quiescence", c.id, len(c.wbs))
 		}
 		var err error
 		c.cache.ForEach(func(l *cache.Line) {

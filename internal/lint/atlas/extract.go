@@ -68,8 +68,10 @@ var specs = map[string][]ControllerSpec{
 
 // excludeActions are protocol-package/cache-package methods that are
 // reads, naming helpers, or plumbing — not transition actions. The
-// receive function is the message table itself, and allocTxn/freeTxn
-// recycle transaction records.
+// receive function is the message table itself; allocTxn/freeTxn
+// recycle transaction records, findTxn/dropTxn and findWB/dropWB look up
+// and remove entries of the L1s' outstanding-miss and writeback files,
+// and forwarded reads MESI's store→load forwarding buffer.
 var excludeActions = map[string]bool{
 	"Lookup": true, "NodeFor": true, "Stats": true, "OwnerOf": true,
 	"StateOf": true, "unitOf": true, "unitWords": true, "ackFlits": true,
@@ -77,6 +79,8 @@ var excludeActions = map[string]bool{
 	"ownerState": true, "wordState": true, "lineState": true,
 	"regClass": true, "initialIncrement": true, "Epoch": true,
 	ReceiveMethod: true, "allocTxn": true, "freeTxn": true,
+	"findTxn": true, "dropTxn": true, "findWB": true, "dropWB": true,
+	"forwarded": true,
 }
 
 // Specs returns the controller specs for one protocol package ("mesi",

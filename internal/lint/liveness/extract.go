@@ -81,11 +81,14 @@ type chainInfo struct {
 	elem  string
 }
 
-// resourceInfo is one finite allocation table (map field of per-key
-// records).
+// resourceInfo is one finite allocation table: a map field of per-key
+// records, or an outstanding file (file) — a slice field of record
+// pointers that a drop helper removes entries from (see
+// scanDropHelpers).
 type resourceInfo struct {
 	id     string
 	field  *types.Var
+	file   bool
 	allocs []token.Pos
 	frees  []token.Pos
 }
@@ -125,9 +128,14 @@ type pkgModel struct {
 	methods     map[string]*method // "Recv.name" -> method
 	chains      map[*types.Var]*chainInfo
 	resources   []*resourceInfo
-	funcDecls   map[string]*ast.FuncDecl // package-level functions
-	assumed     map[string]string        // "file.go:line" -> reason
-	assumes     []Assume
+	// recordSlices are the slice-of-record-pointer fields: outstanding
+	// files once a drop helper is found for them. drops maps each drop
+	// helper ("Recv.name") to the file it removes entries from.
+	recordSlices map[*types.Var]*resourceInfo
+	drops        map[string]*resourceInfo
+	funcDecls    map[string]*ast.FuncDecl // package-level functions
+	assumed      map[string]string        // "file.go:line" -> reason
+	assumes      []Assume
 
 	// bound maps each continuation field bound exactly once, in a New*
 	// constructor, to the controller methods its binding calls.
@@ -163,20 +171,22 @@ func (p *pkgModel) methodByRecv(recv, name string) *method {
 // extractPackage builds the model of one package.
 func extractPackage(fset *token.FileSet, files []*ast.File, tpkg *types.Package, info *types.Info, spec Package) (*pkgModel, error) {
 	p := &pkgModel{
-		pkgName:     path.Base(spec.Path),
-		pkgPath:     spec.Path,
-		fset:        fset,
-		info:        info,
-		tpkg:        tpkg,
-		files:       files,
-		controllers: map[string]Controller{},
-		recvTypes:   map[string]*types.Named{},
-		methods:     map[string]*method{},
-		chains:      map[*types.Var]*chainInfo{},
-		funcDecls:   map[string]*ast.FuncDecl{},
-		assumed:     map[string]string{},
-		bound:       map[*types.Var]*boundCont{},
-		inlining:    map[*method]bool{},
+		pkgName:      path.Base(spec.Path),
+		pkgPath:      spec.Path,
+		fset:         fset,
+		info:         info,
+		tpkg:         tpkg,
+		files:        files,
+		controllers:  map[string]Controller{},
+		recvTypes:    map[string]*types.Named{},
+		methods:      map[string]*method{},
+		chains:       map[*types.Var]*chainInfo{},
+		recordSlices: map[*types.Var]*resourceInfo{},
+		drops:        map[string]*resourceInfo{},
+		funcDecls:    map[string]*ast.FuncDecl{},
+		assumed:      map[string]string{},
+		bound:        map[*types.Var]*boundCont{},
+		inlining:     map[*method]bool{},
 	}
 	for _, c := range spec.Controllers {
 		p.controllers[c.Recv] = c
@@ -221,6 +231,7 @@ func extractPackage(fset *token.FileSet, files []*ast.File, tpkg *types.Package,
 		}
 	}
 	p.scanBoundContinuations()
+	p.scanDropHelpers()
 	for _, m := range p.methods {
 		p.extractMethod(m)
 	}
@@ -398,11 +409,12 @@ func (p *pkgModel) scanStructs() {
 				}
 				continue
 			}
-			if p.isResourceMap(f.Type()) {
-				p.resources = append(p.resources, &resourceInfo{
-					id:    p.pkgName + "." + name + "." + f.Name(),
-					field: f,
-				})
+			id := p.pkgName + "." + name + "." + f.Name()
+			if m, ok := f.Type().(*types.Map); ok && p.isRecordPtr(m.Elem()) {
+				p.resources = append(p.resources, &resourceInfo{id: id, field: f})
+			}
+			if sl, ok := f.Type().(*types.Slice); ok && p.isRecordPtr(sl.Elem()) {
+				p.recordSlices[f] = &resourceInfo{id: id, field: f}
 			}
 		}
 	}
@@ -460,17 +472,10 @@ func (p *pkgModel) controllerPtr(t types.Type) string {
 	return ""
 }
 
-// isResourceMap reports a map (or slice-of-map shard array) whose values
-// are pointers to package structs: a finite allocation table.
-func (p *pkgModel) isResourceMap(t types.Type) bool {
-	if s, ok := t.(*types.Slice); ok {
-		t = s.Elem()
-	}
-	m, ok := t.(*types.Map)
-	if !ok {
-		return false
-	}
-	ptr, ok := m.Elem().(*types.Pointer)
+// isRecordPtr reports a pointer to a package struct: the value type of a
+// finite allocation table.
+func (p *pkgModel) isRecordPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
@@ -480,6 +485,53 @@ func (p *pkgModel) isResourceMap(t types.Type) bool {
 	}
 	_, ok = n.Underlying().(*types.Struct)
 	return ok
+}
+
+// scanDropHelpers finds the controller methods that remove an arbitrary
+// entry from a slice of record pointers: a store into an element
+// (f[i] = f[last]) and a shrink (f = f[:last]) in one body. Such a slice
+// is an outstanding file — a finite allocation table whose appends are
+// allocations and whose drop-helper calls are frees. A free list only
+// pops its top entry, so it has no element store and stays out.
+func (p *pkgModel) scanDropHelpers() {
+	for key, m := range p.methods {
+		defs := p.localDefsCache(m)
+		stored := map[*types.Var]bool{}
+		var shrunk []*types.Var
+		ast.Inspect(m.decl.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				if idx, ok := lhs.(*ast.IndexExpr); ok {
+					if f := p.resolveFieldExpr(idx.X, defs, 0); f != nil {
+						stored[f] = true
+					}
+					continue
+				}
+				sl, ok := as.Rhs[min(i, len(as.Rhs)-1)].(*ast.SliceExpr)
+				if !ok {
+					continue
+				}
+				if f := p.resolveFieldExpr(lhs, defs, 0); f != nil && p.resolveFieldExpr(sl.X, defs, 0) == f {
+					shrunk = append(shrunk, f)
+				}
+			}
+			return true
+		})
+		for _, f := range shrunk {
+			r, ok := p.recordSlices[f]
+			if !ok || !stored[f] {
+				continue
+			}
+			if !r.file {
+				r.file = true
+				p.resources = append(p.resources, r)
+			}
+			p.drops[key] = r
+		}
+	}
 }
 
 // fieldOf resolves a selector expression to the struct field it reads,
@@ -945,40 +997,52 @@ func (p *pkgModel) clampedFields(m *method) map[*types.Var]bool {
 }
 
 // scanResourceOps records allocation and free sites of finite resource
-// tables touched by m.
+// tables touched by m: a map's element assignments and deletes, an
+// outstanding file's appends and drop-helper calls.
 func (p *pkgModel) scanResourceOps(m *method, defs map[types.Object][]ast.Expr) {
 	byField := map[*types.Var]*resourceInfo{}
 	for _, r := range p.resources {
 		byField[r.field] = r
 	}
+	table := func(e ast.Expr, file bool) *resourceInfo {
+		if r := byField[p.resolveFieldExpr(e, defs, 0)]; r != nil && r.file == file {
+			return r
+		}
+		return nil
+	}
 	ast.Inspect(m.decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				idx, ok := lhs.(*ast.IndexExpr)
-				if !ok {
+			for i, lhs := range v.Lhs {
+				if idx, ok := lhs.(*ast.IndexExpr); ok {
+					if r := table(idx.X, false); r != nil {
+						r.allocs = append(r.allocs, v.Pos())
+					}
 					continue
 				}
-				if f := p.resolveFieldExpr(idx.X, p.localDefsCache(m), 0); f != nil {
-					if r, ok := byField[f]; ok {
+				if call, ok := v.Rhs[min(i, len(v.Rhs)-1)].(*ast.CallExpr); ok && isAppend(call) && len(call.Args) >= 2 {
+					if r := table(call.Args[0], true); r != nil && table(lhs, true) == r {
 						r.allocs = append(r.allocs, v.Pos())
 					}
 				}
 			}
 		case *ast.CallExpr:
+			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
+				if r := p.drops[p.recvControllerName(sel)+"."+sel.Sel.Name]; r != nil {
+					r.frees = append(r.frees, v.Pos())
+				}
+				return true
+			}
 			id, ok := v.Fun.(*ast.Ident)
 			if !ok || id.Name != "delete" || len(v.Args) != 2 {
 				return true
 			}
-			if f := p.resolveFieldExpr(v.Args[0], p.localDefsCache(m), 0); f != nil {
-				if r, ok := byField[f]; ok {
-					r.frees = append(r.frees, v.Pos())
-				}
+			if r := table(v.Args[0], false); r != nil {
+				r.frees = append(r.frees, v.Pos())
 			}
 		}
 		return true
 	})
-	_ = defs
 }
 
 // localDefsCache memoizes localDefs per method.

@@ -214,6 +214,56 @@ func TestBoundContinuationMissingDischarge(t *testing.T) {
 	}
 }
 
+// TestOutstandingFileResource: a slice of record pointers with a drop
+// helper is a transaction resource — its append is the allocation and
+// the drop-helper call the free — while a free list that only pops its
+// top and a peer table that is only appended to stay out.
+func TestOutstandingFileResource(t *testing.T) {
+	g := fixtureGraph(t, "file", []liveness.Controller{
+		{Name: "file.Ctl", Recv: "Ctl", Handlers: []string{"recvFill"}},
+	})
+	for _, f := range g.Findings {
+		t.Errorf("finding: %s", f)
+	}
+	if len(g.Resources) != 1 {
+		t.Fatalf("resources = %+v, want only file.Ctl.txns", g.Resources)
+	}
+	r := g.Resources[0]
+	if r.ID != "file.Ctl.txns" || r.Kind != "transaction" || len(r.Allocs) != 1 || len(r.Frees) != 1 {
+		t.Fatalf("resource = %+v, want file.Ctl.txns as a transaction with one allocation and one free", r)
+	}
+	if !strings.HasPrefix(r.Allocs[0], "file.go:") || !strings.HasPrefix(r.Frees[0], "file.go:") {
+		t.Errorf("resource sites %v / %v are not in file.go", r.Allocs, r.Frees)
+	}
+}
+
+// TestRepoTransactionTables: the checked-in certificate lists each L1's
+// outstanding-miss file as a transaction resource with its allocation
+// and free sites, so a refactor whose tables the extractor no longer
+// recognizes cannot silently drop them from the graph
+// (TestRepoLivenessClean ties the golden to a fresh extraction).
+func TestRepoTransactionTables(t *testing.T) {
+	g, err := liveness.ReadFile(filepath.Join(repoModuleDir(t), "docs", "liveness", "waitgraph.json"))
+	if err != nil {
+		t.Fatalf("golden: %v (run `make liveness`)", err)
+	}
+	for _, id := range []string{"denovo.L1.txns", "mesi.L1.txns"} {
+		found := false
+		for _, r := range g.Resources {
+			if r.ID != id {
+				continue
+			}
+			found = true
+			if r.Kind != "transaction" || len(r.Allocs) == 0 || len(r.Frees) == 0 {
+				t.Errorf("%s = %+v, want a transaction resource with allocation and free sites", id, r)
+			}
+		}
+		if !found {
+			t.Errorf("%s is missing from the certificate's resources: %+v", id, g.Resources)
+		}
+	}
+}
+
 // repoModuleDir walks up to the repository's own go.mod.
 func repoModuleDir(t *testing.T) string {
 	t.Helper()

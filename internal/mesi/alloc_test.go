@@ -46,24 +46,32 @@ func TestHitsAllocateNothing(t *testing.T) {
 // core 0 invalidates the three sharers (the acks are collected at the
 // requester), and core 1's read is forwarded to core 0, the new owner —
 // messages, continuations, transaction records, waiter lists and the
-// sharer set included.
+// sharer set included. Core 2 spins on the line meanwhile (Epoch, then
+// WaitDisturb, which the invalidation wakes), and cores 3 and 2 take
+// turns storing to a second line, so each store misses and waits in the
+// forwarding buffer until its GetM completes.
 func TestMissesAllocateNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	eng, dir, l1s := mini()
-	addr := proto.Addr(0x140)
+	addr, other := proto.Addr(0x140), proto.Addr(0x188)
 	var got uint64
 	done := func(v uint64) { got = v }
-	rounds := uint64(0)
+	stored := func(uint64) {}
+	rounds, wakes := uint64(0), uint64(0)
+	woken := func() { wakes++ }
 	round := func() {
 		for _, c := range l1s[1:] {
 			c.Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: done})
 		}
+		l1s[3].Access(proto.Request{Kind: proto.DataStore, Addr: other, Value: rounds, Done: stored})
 		eng.Run(0)
+		l1s[2].WaitDisturb(addr, l1s[2].Epoch(addr), woken)
 		l1s[0].Access(proto.Request{Kind: proto.SyncRMW, Addr: addr, RMW: proto.RMWFetchAdd, Args: [2]uint64{1}, Done: done})
 		eng.Run(0)
 		l1s[1].Access(proto.Request{Kind: proto.DataLoad, Addr: addr, Done: done})
+		l1s[2].Access(proto.Request{Kind: proto.DataStore, Addr: other, Value: rounds, Done: stored})
 		eng.Run(0)
 		rounds++
 	}
@@ -75,13 +83,20 @@ func TestMissesAllocateNothing(t *testing.T) {
 	if got != rounds {
 		t.Fatalf("forwarded read got %d after %d increments", got, rounds)
 	}
+	if wakes != rounds {
+		t.Fatalf("%d spin wake-ups in %d rounds, want one per round", wakes, rounds)
+	}
 	if st, owner, sharers, busy := dir.StateOf(addr.Line()); st != byte(ds) || owner != -1 || sharers != 2 || busy {
 		t.Fatalf("after a round: state %d owner %d sharers %d busy %t, want ds with cores 0 and 1", st, owner, sharers, busy)
 	}
-	// Per round: core 0's GetM, core 1's forwarded read, and the reads of
+	if st, owner, _, busy := dir.StateOf(other.Line()); st != byte(dm) || owner != 2 || busy {
+		t.Fatalf("second line: state %d owner %d busy %t, want dm at core 2", st, owner, busy)
+	}
+	// Per round: core 0's GetM, core 1's forwarded read, the reads of
 	// cores 2 and 3 (core 1 still shares the line when a round starts,
-	// except the first).
-	for i, want := range []uint64{rounds, rounds + 1, rounds, rounds} {
+	// except the first), and the stores of cores 3 and 2 to the second
+	// line.
+	for i, want := range []uint64{rounds, rounds + 1, 2 * rounds, 2 * rounds} {
 		if got := l1s[i].Stats().TotalMisses(); got != want {
 			t.Fatalf("core %d missed %d times in %d rounds, want %d", i, got, rounds, want)
 		}

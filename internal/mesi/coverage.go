@@ -78,6 +78,14 @@ func (c *L1) observe(s cache.LineState, event string) {
 	}
 }
 
+// observeLine reports event in line's current cached state, looking the
+// state up only when an observer is attached.
+func (c *L1) observeLine(line proto.Addr, event string) {
+	if c.obs != nil {
+		c.obs(CtrlL1, LineStateName(c.lineState(line)), event)
+	}
+}
+
 func (c *L1) observeAccess(s cache.LineState, k proto.AccessKind) {
 	if c.obs != nil {
 		c.obs(CtrlL1, LineStateName(s), "access:"+k.String())

@@ -36,12 +36,9 @@ type dirEntry struct {
 // tracking, blocking per-line transactions. Banks are line-interleaved
 // across tiles; bank placement only affects message distances.
 type Directory struct {
-	cfg   *Config
-	tiles int
-	// entries is sharded per home bank: entries[b] holds the lines whose
-	// L2 bank is tile b, and is touched only by events running at that
-	// tile.
-	entries []map[proto.Addr]*dirEntry
+	cfg     *Config
+	tiles   int
+	entries map[proto.Addr]*dirEntry // by line address, across all banks
 	// l1s indexes the L1s by core ID (registered by L1.SetDirectory), so
 	// sharer sets can hold core IDs.
 	l1s []*L1
@@ -59,10 +56,7 @@ type Directory struct {
 
 // NewDirectory creates the directory for a tiles-tile system.
 func NewDirectory(cfg *Config, tiles int) *Directory {
-	d := &Directory{cfg: cfg, tiles: tiles, entries: make([]map[proto.Addr]*dirEntry, tiles)}
-	for i := range d.entries {
-		d.entries[i] = make(map[proto.Addr]*dirEntry)
-	}
+	d := &Directory{cfg: cfg, tiles: tiles, entries: make(map[proto.Addr]*dirEntry)}
 	d.recvFn = d.recv
 	return d
 }
@@ -100,25 +94,22 @@ func (d *Directory) NodeFor(line proto.Addr) proto.NodeID {
 
 // lookup returns line's entry without creating it (nil if unknown).
 func (d *Directory) lookup(line proto.Addr) *dirEntry {
-	return d.entries[int(line/proto.LineBytes)%d.tiles][line]
+	return d.entries[line]
 }
 
-// forEachEntry visits every entry across all banks (diagnostics and
-// validation only; callers sort whatever they collect).
+// forEachEntry visits every entry (diagnostics and validation only;
+// callers sort whatever they collect).
 func (d *Directory) forEachEntry(fn func(proto.Addr, *dirEntry)) {
-	for _, bank := range d.entries {
-		for line, e := range bank { //simlint:allow determinism: callers sort collected keys
-			fn(line, e)
-		}
+	for line, e := range d.entries { //simlint:allow determinism: callers sort collected keys
+		fn(line, e)
 	}
 }
 
 func (d *Directory) entry(line proto.Addr) *dirEntry {
-	bank := d.entries[int(line/proto.LineBytes)%d.tiles]
-	e := bank[line]
+	e := d.entries[line]
 	if e == nil {
 		e = &dirEntry{}
-		bank[line] = e
+		d.entries[line] = e
 	}
 	return e
 }

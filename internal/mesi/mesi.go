@@ -77,6 +77,24 @@ type txn struct {
 	cap cache.LineState
 }
 
+// fwdStore is one entry of the store→load forwarding buffer: a word and
+// the value an in-flight non-blocking store writes to it.
+type fwdStore struct {
+	word proto.Addr
+	val  uint64
+}
+
+// spinWatch is the L1's disturbance watch (see Epoch): the line its core
+// last sampled, whether that line has been disturbed since, and the
+// WaitDisturb callbacks to wake when it is. The waiter list keeps its
+// storage once drained.
+type spinWatch struct {
+	line      proto.Addr
+	sample    uint64 // bumped by every Epoch
+	disturbed bool
+	waiters   []func()
+}
+
 // L1 is one core's private MESI cache controller.
 type L1 struct {
 	cfg  *Config
@@ -85,8 +103,11 @@ type L1 struct {
 	node proto.NodeID
 	dir  *Directory
 
-	cache   *cache.Cache
-	txns    map[proto.Addr]*txn
+	cache *cache.Cache
+	// txns is the outstanding-miss file, one record per line, searched
+	// linearly (findTxn). A core keeps few misses outstanding, so
+	// scanning a short slice beats hashing.
+	txns    []*txn
 	txnFree []*txn // completed transactions, for reuse (see allocTxn)
 
 	// inbox holds the messages in flight to this L1, including the
@@ -98,33 +119,20 @@ type L1 struct {
 	pendingStores int
 	drainWaiters  []func()
 
-	// storeFwd is the store→load forwarding buffer: per word, the values of
-	// this core's in-flight non-blocking stores, oldest first. A store that
-	// misses (e.g. an S→M upgrade) retires at the core long before its
-	// coherence transaction commits the value to the line; a younger load
-	// from the same core must still see it (single-thread program order), so
-	// the hit check consults this buffer before the cached snapshot.
-	// fwdSpare recycles the slices of drained words, so that a store that
-	// hits allocates nothing.
-	storeFwd map[proto.Addr][]uint64
-	fwdSpare [][]uint64
+	// storeFwd is the store→load forwarding buffer: this core's in-flight
+	// non-blocking stores, in issue order. A store that misses (e.g. an
+	// S→M upgrade) retires at the core long before its coherence
+	// transaction commits the value to the line; a younger load from the
+	// same core must still see it (single-thread program order), so the
+	// hit check consults this buffer before the cached snapshot.
+	storeFwd []fwdStore
 
 	// storeDoneFn retires a non-blocking store at protocol commit; its
 	// argument is the stored word (see access). Bound once in NewL1, so
 	// that issuing a store allocates no continuation.
 	storeDoneFn func(uint64)
 
-	epochs map[proto.Addr]uint64 // per line, disturbance counter (WaitDisturb)
-	// disturbs holds, per line, the WaitDisturb callbacks; a line's list
-	// keeps its storage once drained.
-	disturbs map[proto.Addr][]func()
-
-	// ownEpoch records, per E/M-resident line, the directory epoch of the
-	// exclusive grant that installed it. Evictions return it on the Put so
-	// the directory can tell a current writeback from a stale one (see
-	// Directory.recvPut). Distinct from `epochs` above, which counts local
-	// disturbances for sync-load retry wakeups.
-	ownEpoch map[proto.Addr]uint64
+	watch spinWatch
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
@@ -136,16 +144,11 @@ type L1 struct {
 // NewL1 constructs the L1 for core id on node node.
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID) *L1 {
 	c := &L1{
-		cfg:      cfg,
-		eng:      cfg.Eng,
-		id:       id,
-		node:     node,
-		cache:    cache.New(cfg.L1Size, cfg.L1Ways),
-		txns:     make(map[proto.Addr]*txn),
-		epochs:   make(map[proto.Addr]uint64),
-		ownEpoch: make(map[proto.Addr]uint64),
-		disturbs: make(map[proto.Addr][]func()),
-		storeFwd: make(map[proto.Addr][]uint64),
+		cfg:   cfg,
+		eng:   cfg.Eng,
+		id:    id,
+		node:  node,
+		cache: cache.New(cfg.L1Size, cfg.L1Ways),
 	}
 	c.storeDoneFn = func(word uint64) {
 		c.popStoreFwd(proto.Addr(word))
@@ -217,6 +220,31 @@ func (c *L1) freeTxn(t *txn) {
 	c.txnFree = append(c.txnFree, t)
 }
 
+// findTxn returns line's outstanding transaction, or nil.
+func (c *L1) findTxn(line proto.Addr) *txn {
+	for _, t := range c.txns {
+		if t.line == line {
+			return t
+		}
+	}
+	return nil
+}
+
+// dropTxn removes t from the outstanding-miss file, so that the accesses
+// it completes can start a new miss on its line; freeTxn recycles it once
+// they have run.
+func (c *L1) dropTxn(t *txn) {
+	last := len(c.txns) - 1
+	for i, u := range c.txns {
+		if u == t {
+			c.txns[i] = c.txns[last]
+			c.txns = c.txns[:last]
+			return
+		}
+	}
+	panic("mesi: dropping a transaction that is not outstanding")
+}
+
 // Stats returns the hit/miss counters.
 func (c *L1) Stats() *proto.L1Stats { return &c.stats }
 
@@ -232,30 +260,39 @@ func (c *L1) SignatureRelease(proto.Addr) {}
 // SignatureAcquire is a no-op on MESI.
 func (c *L1) SignatureAcquire(proto.Addr) {}
 
-// Epoch returns the disturbance counter for addr's line.
-func (c *L1) Epoch(addr proto.Addr) uint64 { return c.epochs[addr.Line()] }
-
-// WaitDisturb calls fn when the line's epoch moves past epoch.
-func (c *L1) WaitDisturb(addr proto.Addr, epoch uint64, fn func()) {
-	line := addr.Line()
-	if c.epochs[line] != epoch {
-		c.eng.Schedule(0, fn)
-		return
-	}
-	c.disturbs[line] = append(c.disturbs[line], fn)
+// Epoch points the L1's watch at addr's line and returns a new sample
+// number (see proto.L1Controller). The superseded sample counts as
+// disturbed: its waiters wake at once.
+func (c *L1) Epoch(addr proto.Addr) uint64 {
+	c.disturb(c.watch.line)
+	w := &c.watch
+	w.line, w.disturbed = addr.Line(), false
+	w.sample++
+	return w.sample
 }
 
-func (c *L1) disturb(line proto.Addr) {
-	c.epochs[line]++
-	ws := c.disturbs[line]
-	if len(ws) == 0 {
+// WaitDisturb calls fn once addr's line is disturbed after sample was
+// taken: at once if it already was, or if sample is not the watch's
+// current sample of that line.
+func (c *L1) WaitDisturb(addr proto.Addr, sample uint64, fn func()) {
+	w := &c.watch
+	if w.disturbed || sample != w.sample || addr.Line() != w.line {
+		c.eng.Schedule(0, fn)
 		return
 	}
-	for _, fn := range ws {
-		c.eng.Schedule(0, fn)
+	w.waiters = append(w.waiters, fn)
+}
+
+// disturb records that line was invalidated or evicted under the core.
+func (c *L1) disturb(line proto.Addr) {
+	if w := &c.watch; line == w.line {
+		w.disturbed = true
+		for _, fn := range w.waiters {
+			c.eng.Schedule(0, fn)
+		}
+		clear(w.waiters)
+		w.waiters = w.waiters[:0]
 	}
-	clear(ws)
-	c.disturbs[line] = ws[:0]
 }
 
 // OnWritesDrained calls fn once all non-blocking stores have committed.
@@ -271,13 +308,23 @@ func (c *L1) OnWritesDrained(fn func()) {
 // to one word commit in issue order (same-line transactions serialize
 // through the txn waiter list), so FIFO retirement matches commit order.
 func (c *L1) popStoreFwd(word proto.Addr) {
-	vs := c.storeFwd[word]
-	if len(vs) <= 1 {
-		delete(c.storeFwd, word)
-		c.fwdSpare = append(c.fwdSpare, vs[:0])
-		return
+	for i := range c.storeFwd {
+		if c.storeFwd[i].word == word {
+			c.storeFwd = append(c.storeFwd[:i], c.storeFwd[i+1:]...)
+			return
+		}
 	}
-	c.storeFwd[word] = vs[1:]
+}
+
+// forwarded returns the value of this core's youngest in-flight store to
+// word, if it has one.
+func (c *L1) forwarded(word proto.Addr) (uint64, bool) {
+	for i := len(c.storeFwd) - 1; i >= 0; i-- {
+		if c.storeFwd[i].word == word {
+			return c.storeFwd[i].val, true
+		}
+	}
+	return 0, false
 }
 
 func (c *L1) storeCommitted() {
@@ -302,13 +349,7 @@ func (c *L1) Access(req proto.Request) {
 		// background. The invalidation latency still lands on the critical
 		// path of the *next* acquirer, per §6.1.1.
 		c.pendingStores++
-		word := req.Addr.Word()
-		vs, ok := c.storeFwd[word]
-		if n := len(c.fwdSpare); !ok && n > 0 {
-			vs = c.fwdSpare[n-1] // a drained word's slice (see popStoreFwd)
-			c.fwdSpare = c.fwdSpare[:n-1]
-		}
-		c.storeFwd[word] = append(vs, req.Value)
+		c.storeFwd = append(c.storeFwd, fwdStore{word: req.Addr.Word(), val: req.Value})
 		c.eng.ScheduleCall(c.cfg.L1AccessLat, req.Done, 0)
 		c.access(req, c.storeDoneFn, true)
 		return
@@ -343,11 +384,11 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		// Store→load forwarding: the youngest in-flight store to this word
 		// from this core supplies the value, whatever the line state — the
 		// cached snapshot may predate the store's still-uncommitted upgrade.
-		if vs := c.storeFwd[req.Addr.Word()]; len(vs) > 0 {
+		if v, ok := c.forwarded(req.Addr.Word()); ok {
 			if first {
 				c.stats.Hit(req.Kind)
 			}
-			finish(vs[len(vs)-1])
+			finish(v)
 			return
 		}
 		if state != li {
@@ -387,13 +428,13 @@ func (c *L1) access(req proto.Request, commit func(uint64), first bool) {
 		c.stats.Miss(req.Kind)
 	}
 	wantM := req.Kind.IsWrite()
-	if t, ok := c.txns[req.Addr.Line()]; ok {
+	if t := c.findTxn(req.Addr.Line()); t != nil {
 		t.waiters = append(t.waiters, retry{req: req, commit: commit})
 		return
 	}
 	t := c.allocTxn(req.Addr.Line(), wantM)
 	t.waiters = append(t.waiters, retry{req: req, commit: commit})
-	c.txns[t.line] = t
+	c.txns = append(c.txns, t)
 	c.eng.ScheduleCall(c.cfg.L1AccessLat, c.recvFn, c.inbox.Post(msg{kind: mIssue, addr: t.line, wantM: wantM}))
 }
 
@@ -411,11 +452,11 @@ func (c *L1) issue(line proto.Addr, wantM bool) {
 // epoch is the directory's grant epoch for exclusive grants (E or M), zero
 // for plain Shared fills; the L1 returns it on a later eviction Put.
 func (c *L1) recvData(line proto.Addr, acks int, excl, unblock bool, epoch uint64) {
-	t := c.txns[line]
+	t := c.findTxn(line)
 	if t == nil {
 		panic("mesi: data for absent transaction")
 	}
-	c.observe(c.lineState(line), "recvData")
+	c.observeLine(line, "recvData")
 	t.dataRecv = true
 	t.excl = excl
 	t.unblock = unblock
@@ -426,11 +467,11 @@ func (c *L1) recvData(line proto.Addr, acks int, excl, unblock bool, epoch uint6
 
 // recvInvAck counts an invalidation ack collected at the requestor.
 func (c *L1) recvInvAck(line proto.Addr) {
-	t := c.txns[line]
+	t := c.findTxn(line)
 	if t == nil {
 		panic("mesi: inv-ack for absent transaction")
 	}
-	c.observe(c.lineState(line), "recvInvAck")
+	c.observeLine(line, "recvInvAck")
 	t.acksGot++
 	c.maybeComplete(t)
 }
@@ -441,8 +482,8 @@ func (c *L1) maybeComplete(t *txn) {
 	if !t.dataRecv || t.acksNeed < 0 || t.acksGot < t.acksNeed {
 		return
 	}
-	c.observe(c.lineState(t.line), "maybeComplete")
-	delete(c.txns, t.line)
+	c.observeLine(t.line, "maybeComplete")
+	c.dropTxn(t)
 
 	// Install, reusing the resident line on an S→M upgrade, otherwise
 	// evicting a victim. Snapshot committed values at fill time.
@@ -478,11 +519,7 @@ func (c *L1) maybeComplete(t *txn) {
 	v.LineState = st
 	vals := c.cfg.Store.ReadLine(t.line)
 	v.Values = vals
-	if st == lm || st == le {
-		c.ownEpoch[t.line] = t.epoch
-	} else {
-		delete(c.ownEpoch, t.line)
-	}
+	v.Grant = t.epoch // meaningful only while the line is E or M
 
 	// Reopen the directory (ownership-transfer transactions only), then
 	// rerun the stalled accesses.
@@ -512,13 +549,12 @@ func (c *L1) maybeComplete(t *txn) {
 func (c *L1) evict(v *cache.Line) {
 	line := v.Addr
 	state := v.LineState
+	ep := v.Grant
 	c.observe(state, "evict")
 	c.cache.Evict(v)
 	c.stats.Evicted++
 	c.disturb(line)
 	if state == lm || state == le {
-		ep := c.ownEpoch[line]
-		delete(c.ownEpoch, line)
 		flits := proto.CtrlFlits
 		if state == lm {
 			flits = proto.LineDataFlits
@@ -532,18 +568,17 @@ func (c *L1) evict(v *cache.Line) {
 // recvInv handles a directory invalidation on behalf of requestor req:
 // drop the line (if present) and ack directly to the requestor.
 func (c *L1) recvInv(line proto.Addr, req *L1) {
-	c.observe(c.lineState(line), "recvInv")
+	c.observeLine(line, "recvInv")
 	if l := c.cache.Lookup(line); l != nil {
 		c.cache.Evict(l)
 		c.disturb(line)
 	}
-	delete(c.ownEpoch, line)
 	// An invalidation overlapping our own read miss kills the in-flight
 	// grant (see txn.cap). Write misses are exempt: the directory blocks
 	// on GetM, so an overlapping invalidation can only stem from an
 	// *earlier* write that targeted our stale Shared copy — our own
 	// grant, serialized later, stays good.
-	if t := c.txns[line]; t != nil && !t.wantM {
+	if t := c.findTxn(line); t != nil && !t.wantM {
 		t.cap = li
 	}
 	c.cfg.Net.Send(c.node, req.node, proto.ClassInv, proto.CtrlFlits,
@@ -563,18 +598,17 @@ func (c *L1) recvFwdGetS(line proto.Addr, req *L1) {
 // answerGetS answers a forwarded read once the remote-L1 latency has
 // passed (see recvFwdGetS).
 func (c *L1) answerGetS(line proto.Addr, req *L1) {
-	c.observe(c.lineState(line), "recvFwdGetS")
+	c.observeLine(line, "recvFwdGetS")
 	wbFlits := proto.CtrlFlits
 	if l := c.cache.Lookup(line); l != nil && (l.LineState == lm || l.LineState == le) {
 		if l.LineState == lm {
 			wbFlits = proto.LineDataFlits
 		}
-		l.LineState = ls
-		delete(c.ownEpoch, line) // S evictions are silent: no Put to stamp
+		l.LineState = ls // S evictions are silent: no Put to stamp
 	}
 	// The forward chases an exclusive grant whose fill is still in
 	// flight: the late fill may install at most Shared (txn.cap).
-	if t := c.txns[line]; t != nil && !t.wantM && t.cap > ls {
+	if t := c.findTxn(line); t != nil && !t.wantM && t.cap > ls {
 		t.cap = ls
 	}
 	c.cfg.Net.Send(c.node, req.node, proto.ClassLD, proto.LineDataFlits,
@@ -593,16 +627,15 @@ func (c *L1) recvFwdGetM(line proto.Addr, req *L1, epoch uint64) {
 // answerGetM answers a forwarded write once the remote-L1 latency has
 // passed (see recvFwdGetM).
 func (c *L1) answerGetM(line proto.Addr, req *L1, epoch uint64) {
-	c.observe(c.lineState(line), "recvFwdGetM")
+	c.observeLine(line, "recvFwdGetM")
 	if l := c.cache.Lookup(line); l != nil {
 		c.cache.Evict(l)
 		c.disturb(line)
 	}
-	delete(c.ownEpoch, line)
 	// The forward chases an exclusive grant whose fill is still in
 	// flight: the new writer owns the line now, so the late fill must not
 	// install at all (txn.cap).
-	if t := c.txns[line]; t != nil && !t.wantM {
+	if t := c.findTxn(line); t != nil && !t.wantM {
 		t.cap = li
 	}
 	c.cfg.Net.Send(c.node, req.node, proto.ClassST, proto.LineDataFlits,

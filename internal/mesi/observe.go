@@ -17,8 +17,8 @@ import (
 // and exempt from stable-state invariant checks.
 func (c *L1) OutstandingLines() []proto.Addr {
 	out := make([]proto.Addr, 0, len(c.txns))
-	for line := range c.txns { //simlint:allow determinism: keys are sorted before use
-		out = append(out, line)
+	for _, t := range c.txns {
+		out = append(out, t.line)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

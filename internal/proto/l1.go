@@ -19,16 +19,26 @@ type L1Controller interface {
 	// it unnecessary.
 	SelfInvalidate(set RegionSet)
 
-	// Epoch returns the disturbance counter for addr's word: it increments
-	// whenever remote protocol activity or a self-invalidation changes the
-	// locally cached state (invalidation, registration revocation,
-	// downgrade, eviction). Local fills do not count. Cores use it with
-	// WaitDisturb to model spin-waiting without simulating every spin hit.
+	// Epoch samples addr for a spin and returns the sample's number. Cores
+	// use it with WaitDisturb to model spin-waiting without simulating
+	// every spin hit: sample, load, and if the value does not satisfy the
+	// spin, wait for a disturbance. A disturbance is a change of the
+	// locally cached state of addr's coherence unit (the word on DeNovo,
+	// the line on MESI) by remote protocol activity, an eviction or a
+	// self-invalidation: invalidation, registration revocation,
+	// downgrade. Local fills do not count.
+	//
+	// Each L1 serves one core and a core has at most one sample
+	// outstanding, so an L1 keeps a single watch: Epoch points it at addr
+	// and supersedes the previous sample, whose waiters wake at once.
 	Epoch(addr Addr) uint64
 
-	// WaitDisturb calls fn once Epoch(addr) differs from epoch; immediately
-	// (via a scheduled event) if it already does.
-	WaitDisturb(addr Addr, epoch uint64, fn func())
+	// WaitDisturb calls fn, in a scheduled event, once addr has been
+	// disturbed since sample was taken: at once if it already was. A
+	// superseded sample, or an addr other than the sampled one, also
+	// wakes fn at once — a wait may end early, never late, and the
+	// caller samples and loads again.
+	WaitDisturb(addr Addr, sample uint64, fn func())
 
 	// OnWritesDrained calls fn once all outstanding non-blocking stores
 	// have completed their coherence transactions (fence/sync ordering).
