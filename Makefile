@@ -242,12 +242,14 @@ fabric-smoke:
 nightly-fuzz:
 	$(GO) run ./cmd/scenfuzz run -seed 1 -batches 24 -batch-size 32 -out scenfuzz.out
 
-# Short fuzzing passes over the engine's dispatch order, the DeNovoSync
-# backoff-counter and MSHR parking properties, plus the scenario/trace
-# decoder trust boundaries (seed corpus always runs under `make test`).
+# Short fuzzing passes over the engine's dispatch order, the paged
+# address table, the DeNovoSync backoff-counter and MSHR parking
+# properties, plus the scenario/trace decoder trust boundaries (seed
+# corpus always runs under `make test`).
 .PHONY: fuzz
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 30s
+	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzPages -fuzztime 30s
 	$(GO) test ./internal/denovo -fuzz FuzzBackoffCounterWrap -fuzztime 30s
 	$(GO) test ./internal/denovo -fuzz FuzzMSHRSyncParking -fuzztime 30s
 	$(GO) test ./internal/fuzz -fuzz FuzzScenarioDecode -fuzztime 30s

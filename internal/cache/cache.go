@@ -170,10 +170,12 @@ func (c *Cache) Evict(l *Line) {
 	l.ClearWords()
 }
 
-// ForEach calls fn on every present line. fn must not install or evict.
+// ForEach calls fn on every present line, set by set. It finds them
+// through the tag array rather than reading every line. fn must not
+// install or evict.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].Present {
+	for i, tag := range c.tags {
+		if tag != noTag {
 			fn(&c.lines[i])
 		}
 	}

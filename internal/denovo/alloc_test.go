@@ -3,6 +3,7 @@ package denovo
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"denovosync/internal/proto"
 	"denovosync/internal/race"
@@ -86,8 +87,61 @@ func TestRegistrationTransferAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestDataPathAllocatesNothing: once warm, the data path's messages
+// allocate nothing. Each round core 1 misses twice after a
+// self-invalidation: on a word the registry owns, answered by a registry
+// data fill, and on a word core 0 holds Registered, forwarded to core 0
+// and answered by its data fill. Core 2 stores to a line and then loads
+// two lines of its set, so the stored line is evicted with a writeback
+// that the registry acks. Fill values travel through the receiver's
+// fills slab, so a message stays within 48 bytes.
+func TestDataPathAllocatesNothing(t *testing.T) {
+	if size := unsafe.Sizeof(msg{}); size > 48 {
+		t.Fatalf("a DeNovo message takes %d bytes, want at most 48", size)
+	}
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	eng, reg, l1s := mini()
+	const owned, regOwned, stored = proto.Addr(0x140), proto.Addr(0x180), proto.Addr(0x200)
+	var got uint64
+	done := func(uint64) {}
+	fwdDone := func(v uint64) { got = v }
+	l1s[0].Access(proto.Request{Kind: proto.DataStore, Addr: owned, Value: 9, Done: done})
+	eng.Run(0)
+	round := func() {
+		l1s[1].SelfInvalidate(proto.AllRegions)
+		l1s[1].Access(proto.Request{Kind: proto.DataLoad, Addr: regOwned, Done: done})
+		l1s[1].Access(proto.Request{Kind: proto.DataLoad, Addr: owned, Done: fwdDone})
+		l1s[2].Access(proto.Request{Kind: proto.DataStore, Addr: stored, Value: 5, Done: done})
+		eng.Run(0)
+		l1s[2].Access(proto.Request{Kind: proto.DataLoad, Addr: stored + 8*proto.LineBytes, Done: done})
+		l1s[2].Access(proto.Request{Kind: proto.DataLoad, Addr: stored + 16*proto.LineBytes, Done: done})
+		eng.Run(0)
+	}
+	round() // warms every L1, the registry's lines and the slabs
+	round()
+	misses, wbs := l1s[1].Stats().TotalMisses(), l1s[2].Stats().WB
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a data-path round allocated %.1f times, want 0", n)
+	}
+	if m := l1s[1].Stats().TotalMisses() - misses; m != 2*101 {
+		t.Fatalf("core 1 missed %d times in 101 rounds, want both loads every round (202)", m)
+	}
+	if w := l1s[2].Stats().WB - wbs; w != 101 {
+		t.Fatalf("core 2 wrote back %d times in 101 rounds, want one writeback every round", w)
+	}
+	if got != 9 || reg.OwnerOf(owned) != 0 || reg.OwnerOf(stored) != -1 {
+		t.Fatalf("forwarded read got %d, owners %d and %d; want 9, core 0 and the registry", got, reg.OwnerOf(owned), reg.OwnerOf(stored))
+	}
+	if err := reg.Validate(l1s); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestValidateCatchesUndeliveredMessage: a message posted to an inbox and
-// never delivered fails the quiescence check.
+// never delivered, or a data fill's values claimed in a slab and never
+// read, fails the quiescence check.
 func TestValidateCatchesUndeliveredMessage(t *testing.T) {
 	eng, reg, l1s := mini()
 	l1s[0].Access(proto.Request{Kind: proto.SyncStore, Addr: 0x200, Value: 1, Done: func(uint64) {}})
@@ -101,6 +155,11 @@ func TestValidateCatchesUndeliveredMessage(t *testing.T) {
 		t.Fatalf("planted message: Validate = %v, want an undelivered-message error", err)
 	}
 	l1s[2].inbox.Free(0)
+	fill, _ := l1s[1].fills.Claim()
+	if err := reg.Validate(l1s); err == nil || !strings.Contains(err.Error(), "L1 1 holds 1 undelivered data-fill") {
+		t.Fatalf("planted fill: Validate = %v, want an undelivered data-fill error", err)
+	}
+	l1s[1].fills.Free(fill)
 	reg.inbox.Post(msg{kind: mReg, addr: 0x200, from: l1s[2]})
 	if err := reg.Validate(l1s); err == nil || !strings.Contains(err.Error(), "registry holds 1 undelivered") {
 		t.Fatalf("planted registry message: Validate = %v, want an undelivered-message error", err)

@@ -121,7 +121,11 @@ func TestUnitOf(t *testing.T) {
 
 // mini builds a 4-tile DeNovo system without cores for direct controller
 // tests.
-func mini() (*sim.Engine, *Registry, []*L1) {
+func mini() (*sim.Engine, *Registry, []*L1) { return miniRegions(nil) }
+
+// miniRegions is mini with the L1s resolving fills' regions through
+// regions (nil: every word in region 0).
+func miniRegions(regions proto.RegionMapper) (*sim.Engine, *Registry, []*L1) {
 	eng := sim.NewEngine()
 	net := noc.New(eng, noc.Mesh{W: 2, H: 2}, 10, 3)
 	store := mem.NewStore()
@@ -134,7 +138,7 @@ func mini() (*sim.Engine, *Registry, []*L1) {
 	reg := NewRegistry(cfg, 4)
 	var l1s []*L1
 	for i := 0; i < 4; i++ {
-		l1 := NewL1(cfg, proto.CoreID(i), proto.NodeID(i), nil)
+		l1 := NewL1(cfg, proto.CoreID(i), proto.NodeID(i), regions)
 		l1.SetRegistry(reg)
 		l1s = append(l1s, l1)
 	}

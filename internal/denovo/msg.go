@@ -35,19 +35,25 @@ const (
 
 // msg is one DeNovo message. A message carries what its handler takes,
 // fixed when it is sent; a value the handler reads on arrival (the
-// registry's mRegGrant) is read by the receive function.
+// registry's mRegGrant) is read by the receive function. A data fill's
+// word values wait in the receiving L1's fills slab, not in the message,
+// so every message stays small enough to copy without a block move.
 type msg struct {
 	kind  msgKind
 	stale bool             // mServiceFwd: the forward predates this core's last writeback ack
+	mask  uint16           // words carried, bit i for word i (mWB, mWBAck, mDataFill)
+	fill  uint32           // mDataFill: the slot of the words' values in the receiver's fills
 	akind proto.AccessKind // the access kind of a registration
 	addr  proto.Addr       // the word (the line for mWB, mWBAck and mDataFill)
 	from  *L1              // the requesting L1
 	// val is the registered word's value (mRegAck); serial is the
 	// registry's serialization stamp (mFwdReg, mWBAck).
 	val, serial uint64
-	mask        [proto.WordsPerLine]bool   // words carried (mWB, mWBAck, mDataFill)
-	vals        [proto.WordsPerLine]uint64 // their values (mDataFill)
 }
+
+// lineVals holds the word values a data fill carries, by word index
+// (only the words in the fill's mask are meaningful).
+type lineVals [proto.WordsPerLine]uint64
 
 // retry is an access stalled behind an outstanding transaction or an
 // unacked writeback, re-run as access(req, commit, first) when it

@@ -83,23 +83,18 @@ func (r *Registry) FetchingLines() []proto.Addr {
 			out = append(out, lineAddr)
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // ForEachOwned visits every word the registry has pointed at a core
 // (owner != L2), in ascending word order.
 func (r *Registry) ForEachOwned(fn func(word proto.Addr, owner proto.CoreID)) {
-	var lineAddrs []proto.Addr
-	r.forEachLine(func(lineAddr proto.Addr, _ *regLine) { lineAddrs = append(lineAddrs, lineAddr) })
-	sort.Slice(lineAddrs, func(i, j int) bool { return lineAddrs[i] < lineAddrs[j] })
-	for _, lineAddr := range lineAddrs {
-		e := r.lookup(lineAddr)
+	r.forEachLine(func(lineAddr proto.Addr, e *regLine) {
 		for i, o := range e.owner {
 			if o == ownerL2 {
 				continue
 			}
 			fn(lineAddr+proto.Addr(i*proto.WordBytes), proto.CoreID(o))
 		}
-	}
+	})
 }

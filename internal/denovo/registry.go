@@ -73,13 +73,17 @@ func newRegLine() *regLine {
 	return l
 }
 
+// regPage holds the line records of one proto.Pages page, by the
+// line's index in the page (nil for a line never touched).
+type regPage [proto.LinesPerPage]*regLine
+
 // Registry is DeNovo's LLC-side structure: the data banks of the shared
 // L2 double as the registry, storing either data or a pointer to the
 // registered core (§2.2).
 type Registry struct {
 	cfg   *Config
 	tiles int
-	lines map[proto.Addr]*regLine // by line address, across all banks
+	lines proto.Pages[regPage] // line records, across all banks
 	l1s   []*L1
 
 	// inbox holds the messages in flight to the registry, including the
@@ -95,7 +99,7 @@ type Registry struct {
 
 // NewRegistry creates the registry for a tiles-tile system.
 func NewRegistry(cfg *Config, tiles int) *Registry {
-	r := &Registry{cfg: cfg, tiles: tiles, lines: make(map[proto.Addr]*regLine)}
+	r := &Registry{cfg: cfg, tiles: tiles}
 	r.recvFn = r.recv
 	return r
 }
@@ -134,26 +138,34 @@ func (r *Registry) NodeFor(line proto.Addr) proto.NodeID {
 	return proto.NodeID(int(line/proto.LineBytes) % r.tiles)
 }
 
+// line returns addr's line record, creating it.
 func (r *Registry) line(addr proto.Addr) *regLine {
-	l := r.lines[addr.Line()]
-	if l == nil {
-		l = newRegLine()
-		r.lines[addr.Line()] = l
+	p := r.lines.Page(addr)
+	i := addr.PageLine()
+	if p[i] == nil {
+		p[i] = newRegLine()
 	}
-	return l
+	return p[i]
 }
 
 // lookup returns word's line record without creating it (nil if unknown).
 func (r *Registry) lookup(addr proto.Addr) *regLine {
-	return r.lines[addr.Line()]
+	if p := r.lines.Get(addr); p != nil {
+		return p[addr.PageLine()]
+	}
+	return nil
 }
 
-// forEachLine visits every line record (diagnostics and validation only;
-// callers sort whatever they collect).
+// forEachLine visits every line record in ascending line order
+// (diagnostics and validation only).
 func (r *Registry) forEachLine(fn func(proto.Addr, *regLine)) {
-	for lineAddr, e := range r.lines { //simlint:allow determinism: callers sort collected keys
-		fn(lineAddr, e)
-	}
+	r.lines.Walk(func(base proto.Addr, p *regPage) {
+		for i, e := range p {
+			if e != nil {
+				fn(base+proto.Addr(i*proto.LineBytes), e)
+			}
+		}
+	})
 }
 
 // awaitResident parks m behind e's cold fetch from memory, starting the
@@ -208,25 +220,25 @@ func (r *Registry) serveDataRead(word proto.Addr, from *L1) {
 		// Registry-owned (or a stale self-pointer): respond with every
 		// registry-owned word of the line.
 		line := word.Line()
-		var mask [proto.WordsPerLine]bool
-		var vals [proto.WordsPerLine]uint64
+		fill, vals := from.fills.Claim()
+		var mask uint16
 		words := 0
 		for i := range e.owner {
 			if e.owner[i] == ownerL2 {
-				mask[i] = true
+				mask |= 1 << i
 				vals[i] = r.cfg.Store.Read(line + proto.Addr(i*proto.WordBytes))
 				words++
 			}
 		}
 		// Guarantee the requested word is in the response even in the
 		// stale-owner corner (the committed image is always current).
-		if !mask[word.WordIndex()] {
-			mask[word.WordIndex()] = true
-			vals[word.WordIndex()] = r.cfg.Store.Read(word)
+		if k := word.WordIndex(); mask&(1<<k) == 0 {
+			mask |= 1 << k
+			vals[k] = r.cfg.Store.Read(word)
 			words++
 		}
 		r.cfg.Net.Send(node, from.node, proto.ClassLD, proto.DataFlits(words),
-			from.recvFn, from.inbox.Post(msg{kind: mDataFill, addr: line, mask: mask, vals: vals}))
+			from.recvFn, from.inbox.Post(msg{kind: mDataFill, addr: line, mask: mask, fill: uint32(fill)}))
 	case roOther:
 		prev := r.l1s[e.owner[word.WordIndex()]]
 		r.cfg.Net.Send(node, prev.node, proto.ClassLD, proto.CtrlFlits,
@@ -278,7 +290,7 @@ func (r *Registry) serveReg(word proto.Addr, kind proto.AccessKind, from *L1) {
 
 // recvWB retires an eviction writeback after the L2 access latency (see
 // serveWB).
-func (r *Registry) recvWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, from *L1) {
+func (r *Registry) recvWB(lineAddr proto.Addr, mask uint16, from *L1) {
 	r.cfg.Eng.ScheduleCall(r.cfg.L2AccessLat, r.recvFn, r.inbox.Post(msg{kind: mWBL2, addr: lineAddr, mask: mask, from: from}))
 }
 
@@ -302,7 +314,7 @@ func (r *Registry) recvWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, fr
 // WB arriving during the line's cold fetch would otherwise be processed
 // before the registration it follows (dropping it leaves a dangling
 // ownership pointer — a bug the end-of-run validator caught).
-func (r *Registry) serveWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, from *L1) {
+func (r *Registry) serveWB(lineAddr proto.Addr, mask uint16, from *L1) {
 	e := r.line(lineAddr)
 	if !e.resident {
 		r.awaitResident(e, msg{kind: mWBL2, addr: lineAddr, mask: mask, from: from}, proto.ClassWB)
@@ -310,8 +322,8 @@ func (r *Registry) serveWB(lineAddr proto.Addr, mask [proto.WordsPerLine]bool, f
 	}
 	e.serial++
 	seq := e.serial
-	for i, m := range mask {
-		if !m {
+	for i := range proto.WordsPerLine {
+		if mask&(1<<i) == 0 {
 			continue
 		}
 		word := lineAddr + proto.Addr(i*proto.WordBytes)

@@ -1,8 +1,9 @@
 package denovo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"denovosync/internal/cache"
 	"denovosync/internal/proto"
@@ -19,7 +20,8 @@ import (
 //   - Registered word values match the committed image;
 //   - no outstanding transactions, parked forwards, or pending
 //     writeback acks remain;
-//   - every controller's inbox is empty: each message sent was delivered.
+//   - every controller's inbox is empty: each message sent was delivered;
+//   - every L1's fills slab is empty: each data fill's values were read.
 func (r *Registry) Validate(l1s []*L1) error {
 	if n := r.inbox.Len(); n != 0 {
 		return fmt.Errorf("denovo: registry holds %d undelivered messages at quiescence", n)
@@ -32,6 +34,9 @@ func (r *Registry) Validate(l1s []*L1) error {
 	for _, c := range l1s {
 		if n := c.inbox.Len(); n != 0 {
 			return fmt.Errorf("denovo: L1 %d holds %d undelivered messages at quiescence", c.id, n)
+		}
+		if n := c.fills.Len(); n != 0 {
+			return fmt.Errorf("denovo: L1 %d holds %d undelivered data-fill values at quiescence", c.id, n)
 		}
 		if len(c.txns) != 0 {
 			return fmt.Errorf("denovo: L1 %d has %d outstanding transactions at quiescence", c.id, len(c.txns))
@@ -59,7 +64,7 @@ func (r *Registry) Validate(l1s []*L1) error {
 	// Check each word's run of holders in address order, so which
 	// violation surfaces first is fixed; the stable sort keeps each run's
 	// cores in L1 order.
-	sort.SliceStable(held, func(i, j int) bool { return held[i].word < held[j].word })
+	slices.SortStableFunc(held, func(a, b heldWord) int { return cmp.Compare(a.word, b.word) })
 	for i := 0; i < len(held); {
 		word, j := held[i].word, i+1
 		for j < len(held) && held[j].word == word {
@@ -79,23 +84,20 @@ func (r *Registry) Validate(l1s []*L1) error {
 	}
 	// The converse: a registry pointer must name a core that still holds
 	// the word (or the word was never cached — impossible once pointed).
-	var lineAddrs []proto.Addr
-	r.forEachLine(func(lineAddr proto.Addr, _ *regLine) { lineAddrs = append(lineAddrs, lineAddr) })
-	sort.Slice(lineAddrs, func(i, j int) bool { return lineAddrs[i] < lineAddrs[j] })
-	for _, lineAddr := range lineAddrs {
-		e := r.lookup(lineAddr)
+	var err error
+	r.forEachLine(func(lineAddr proto.Addr, e *regLine) {
 		for i, o := range e.owner {
-			if o == ownerL2 {
+			if o == ownerL2 || err != nil {
 				continue
 			}
 			word := lineAddr + proto.Addr(i*proto.WordBytes)
 			l := l1s[o].cache.Lookup(word)
 			if l == nil || l.WordState[word.WordIndex()] != wr {
-				return fmt.Errorf("denovo: registry points word %v at core %d, which does not hold it", word, o)
+				err = fmt.Errorf("denovo: registry points word %v at core %d, which does not hold it", word, o)
 			}
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // heldWord records that core holds word Registered (see Validate).

@@ -82,9 +82,10 @@ type chainInfo struct {
 }
 
 // resourceInfo is one finite allocation table: a map field of per-key
-// records, or an outstanding file (file) — a slice field of record
-// pointers that a drop helper removes entries from (see
-// scanDropHelpers).
+// records, a paged table of record pointers (a generic table whose page
+// type is an array of record pointers, found through its methods), or
+// an outstanding file (file) — a slice field of record pointers that a
+// drop helper removes entries from (see scanDropHelpers).
 type resourceInfo struct {
 	id     string
 	field  *types.Var
@@ -413,6 +414,9 @@ func (p *pkgModel) scanStructs() {
 			if m, ok := f.Type().(*types.Map); ok && p.isRecordPtr(m.Elem()) {
 				p.resources = append(p.resources, &resourceInfo{id: id, field: f})
 			}
+			if p.isPagedTable(f.Type()) {
+				p.resources = append(p.resources, &resourceInfo{id: id, field: f})
+			}
 			if sl, ok := f.Type().(*types.Slice); ok && p.isRecordPtr(sl.Elem()) {
 				p.recordSlices[f] = &resourceInfo{id: id, field: f}
 			}
@@ -487,6 +491,19 @@ func (p *pkgModel) isRecordPtr(t types.Type) bool {
 	return ok
 }
 
+// isPagedTable reports whether t is a paged table of record pointers: an
+// instance of a generic type whose one type argument is an array of
+// record pointers (the page). A method of the table returns a page, and
+// a store into a page's element files a record.
+func (p *pkgModel) isPagedTable(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	if !ok || n.TypeArgs().Len() != 1 {
+		return false
+	}
+	a, ok := n.TypeArgs().At(0).Underlying().(*types.Array)
+	return ok && p.isRecordPtr(a.Elem())
+}
+
 // scanDropHelpers finds the controller methods that remove an arbitrary
 // entry from a slice of record pointers: a store into an element
 // (f[i] = f[last]) and a shrink (f = f[:last]) in one body. Such a slice
@@ -549,9 +566,10 @@ func (p *pkgModel) fieldOf(e ast.Expr) *types.Var {
 	return v
 }
 
-// resolveFieldExpr resolves e — possibly through index expressions and
-// one local alias hop (ws := c.disturbs[word]) — to a struct field.
-// localDefs maps local objects to their defining expressions.
+// resolveFieldExpr resolves e — possibly through index expressions, one
+// local alias hop (ws := c.disturbs[word]) and a paged table's page
+// lookup (pg := r.lines.Page(addr)) — to a struct field. localDefs maps
+// local objects to their defining expressions.
 func (p *pkgModel) resolveFieldExpr(e ast.Expr, localDefs map[types.Object][]ast.Expr, depth int) *types.Var {
 	if depth > 4 {
 		return nil
@@ -565,6 +583,17 @@ func (p *pkgModel) resolveFieldExpr(e ast.Expr, localDefs map[types.Object][]ast
 		return p.resolveFieldExpr(v.X, localDefs, depth+1)
 	case *ast.SelectorExpr:
 		return p.fieldOf(v)
+	case *ast.CallExpr:
+		sel, ok := v.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if s, ok := p.info.Selections[sel]; !ok || s.Kind() != types.MethodVal {
+			return nil
+		}
+		if f := p.resolveFieldExpr(sel.X, localDefs, depth+1); f != nil && p.isPagedTable(f.Type()) {
+			return f
+		}
 	case *ast.Ident:
 		obj := p.info.Uses[v]
 		if obj == nil {

@@ -237,29 +237,57 @@ func TestOutstandingFileResource(t *testing.T) {
 	}
 }
 
+// TestPagedTableResource: a generic table whose pages are arrays of
+// record pointers is a persistent resource, and storing a record into a
+// page it returns is the allocation; a table of plain values is not a
+// resource.
+func TestPagedTableResource(t *testing.T) {
+	g := fixtureGraph(t, "pages", []liveness.Controller{{Name: "pages.Ctl", Recv: "Ctl"}})
+	for _, f := range g.Findings {
+		t.Errorf("finding: %s", f)
+	}
+	if len(g.Resources) != 1 {
+		t.Fatalf("resources = %+v, want only pages.Ctl.lines", g.Resources)
+	}
+	r := g.Resources[0]
+	if r.ID != "pages.Ctl.lines" || r.Kind != "persistent" || len(r.Allocs) != 1 || len(r.Frees) != 0 {
+		t.Fatalf("resource = %+v, want pages.Ctl.lines as a persistent resource with one allocation", r)
+	}
+	if !strings.HasPrefix(r.Allocs[0], "pages.go:") {
+		t.Errorf("allocation site %v is not in pages.go", r.Allocs)
+	}
+}
+
 // TestRepoTransactionTables: the checked-in certificate lists each L1's
 // outstanding-miss file as a transaction resource with its allocation
-// and free sites, so a refactor whose tables the extractor no longer
-// recognizes cannot silently drop them from the graph
-// (TestRepoLivenessClean ties the golden to a fresh extraction).
+// and free sites, and the registry's and directory's paged line tables
+// as persistent resources with their allocation sites, so a refactor
+// whose tables the extractor no longer recognizes cannot silently drop
+// them from the graph (TestRepoLivenessClean ties the golden to a fresh
+// extraction).
 func TestRepoTransactionTables(t *testing.T) {
 	g, err := liveness.ReadFile(filepath.Join(repoModuleDir(t), "docs", "liveness", "waitgraph.json"))
 	if err != nil {
 		t.Fatalf("golden: %v (run `make liveness`)", err)
 	}
-	for _, id := range []string{"denovo.L1.txns", "mesi.L1.txns"} {
+	for _, want := range []struct{ id, kind string }{
+		{"denovo.L1.txns", "transaction"},
+		{"mesi.L1.txns", "transaction"},
+		{"denovo.Registry.lines", "persistent"},
+		{"mesi.Directory.entries", "persistent"},
+	} {
 		found := false
 		for _, r := range g.Resources {
-			if r.ID != id {
+			if r.ID != want.id {
 				continue
 			}
 			found = true
-			if r.Kind != "transaction" || len(r.Allocs) == 0 || len(r.Frees) == 0 {
-				t.Errorf("%s = %+v, want a transaction resource with allocation and free sites", id, r)
+			if r.Kind != want.kind || len(r.Allocs) == 0 || (len(r.Frees) == 0) != (want.kind == "persistent") {
+				t.Errorf("%s = %+v, want a %s resource with allocation sites and, for a transaction, free sites", want.id, r, want.kind)
 			}
 		}
 		if !found {
-			t.Errorf("%s is missing from the certificate's resources: %+v", id, g.Resources)
+			t.Errorf("%s is missing from the certificate's resources: %+v", want.id, g.Resources)
 		}
 	}
 }

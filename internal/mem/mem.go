@@ -18,75 +18,26 @@ import (
 // tile's L2 bank reads and commits through it, and writes happen only at
 // protocol commit points.
 //
-// The image is paged: a page holds the values of pageBytes of simulated
-// memory, and a page that was never written reads as zeros. Below
-// denseLimit, which every allocator address stays under, pages are found
-// through a two-level table: dir, indexed by the address's 4 MiB block
-// and grown to the highest block written, holds each block's page
-// table. The few pages above denseLimit, if any, sit in a map.
+// The image is a proto.Pages table: a page holds the values of
+// proto.PageBytes of simulated memory, and a page that was never written
+// reads as zeros.
 type Store struct {
-	dir []*[dirPages]*page
-	far map[proto.Addr]*page // by page number; nil until used
+	pages proto.Pages[page]
 }
 
-const (
-	pageShift  = 12 // a page covers 4 KiB of simulated memory
-	pageBytes  = 1 << pageShift
-	dirShift   = 22 // a dir entry covers 4 MiB: dirPages pages
-	dirPages   = 1 << (dirShift - pageShift)
-	denseLimit = 1 << 32
-)
-
-// page holds the values of pageBytes of simulated memory. Pages are
-// line-aligned, so a line never straddles two.
-type page [pageBytes / proto.WordBytes]uint64
+// page holds the values of proto.PageBytes of simulated memory.
+type page [proto.PageBytes / proto.WordBytes]uint64
 
 // NewStore returns an empty (all-zero) memory image.
 func NewStore() *Store { return &Store{} }
 
-// lookup returns the page holding word-aligned address w, or nil if none
-// was written.
-func (s *Store) lookup(w proto.Addr) *page {
-	if w < denseLimit {
-		if b := w >> dirShift; b < proto.Addr(len(s.dir)) && s.dir[b] != nil {
-			return s.dir[b][w>>pageShift%dirPages]
-		}
-		return nil
-	}
-	return s.far[w>>pageShift]
-}
-
-// pageFor returns the page holding word-aligned address w, creating it.
-func (s *Store) pageFor(w proto.Addr) *page {
-	if p := s.lookup(w); p != nil {
-		return p
-	}
-	p := new(page)
-	if w < denseLimit {
-		b := int(w >> dirShift)
-		for len(s.dir) <= b {
-			s.dir = append(s.dir, nil)
-		}
-		if s.dir[b] == nil {
-			s.dir[b] = new([dirPages]*page)
-		}
-		s.dir[b][w>>pageShift%dirPages] = p
-		return p
-	}
-	if s.far == nil {
-		s.far = make(map[proto.Addr]*page)
-	}
-	s.far[w>>pageShift] = p
-	return p
-}
-
 // wordIndex is the index of word-aligned address w in its page.
-func wordIndex(w proto.Addr) proto.Addr { return w % pageBytes / proto.WordBytes }
+func wordIndex(w proto.Addr) proto.Addr { return w % proto.PageBytes / proto.WordBytes }
 
 // Read returns the committed value of the word containing addr.
 func (s *Store) Read(addr proto.Addr) uint64 {
 	w := addr.Word()
-	if p := s.lookup(w); p != nil {
+	if p := s.pages.Get(w); p != nil {
 		return p[wordIndex(w)]
 	}
 	return 0
@@ -95,13 +46,13 @@ func (s *Store) Read(addr proto.Addr) uint64 {
 // Write commits value to the word containing addr.
 func (s *Store) Write(addr proto.Addr, value uint64) {
 	w := addr.Word()
-	s.pageFor(w)[wordIndex(w)] = value
+	s.pages.Page(w)[wordIndex(w)] = value
 }
 
 // ReadLine returns the committed values of all words in addr's line.
 func (s *Store) ReadLine(addr proto.Addr) [proto.WordsPerLine]uint64 {
 	line := addr.Line()
-	p := s.lookup(line)
+	p := s.pages.Get(line)
 	if p == nil {
 		return [proto.WordsPerLine]uint64{}
 	}

@@ -75,18 +75,18 @@ func TestStoreAllocatesNothing(t *testing.T) {
 // dense range's end, are independent, and unwritten memory reads zero.
 func TestStorePages(t *testing.T) {
 	s := NewStore()
-	for i, a := range []proto.Addr{pageBytes - proto.WordBytes, pageBytes, denseLimit - proto.WordBytes, denseLimit, 1 << 40} {
+	for i, a := range []proto.Addr{proto.PageBytes - proto.WordBytes, proto.PageBytes, proto.DenseLimit - proto.WordBytes, proto.DenseLimit, 1 << 40} {
 		s.Write(a, uint64(i+1))
 	}
-	for i, a := range []proto.Addr{pageBytes - proto.WordBytes, pageBytes, denseLimit - proto.WordBytes, denseLimit, 1 << 40} {
+	for i, a := range []proto.Addr{proto.PageBytes - proto.WordBytes, proto.PageBytes, proto.DenseLimit - proto.WordBytes, proto.DenseLimit, 1 << 40} {
 		if got := s.Read(a); got != uint64(i+1) {
 			t.Fatalf("Read(%v) = %d, want %d", a, got, i+1)
 		}
 	}
-	if line := s.ReadLine(denseLimit); line[0] != 4 || line[1] != 0 {
+	if line := s.ReadLine(proto.DenseLimit); line[0] != 4 || line[1] != 0 {
 		t.Fatalf("ReadLine above the dense range = %v", line)
 	}
-	if s.Read(2*pageBytes) != 0 || s.Read(denseLimit+pageBytes) != 0 {
+	if s.Read(2*proto.PageBytes) != 0 || s.Read(proto.DenseLimit+proto.PageBytes) != 0 {
 		t.Fatal("unwritten memory is not zero")
 	}
 }

@@ -32,13 +32,17 @@ type dirEntry struct {
 	queue    []dirPending
 }
 
+// dirPage holds the entries of one proto.Pages page, by the line's index
+// in the page (nil for a line never touched).
+type dirPage [proto.LinesPerPage]*dirEntry
+
 // Directory is the shared L2: home for every line, full-map sharer
 // tracking, blocking per-line transactions. Banks are line-interleaved
 // across tiles; bank placement only affects message distances.
 type Directory struct {
 	cfg     *Config
 	tiles   int
-	entries map[proto.Addr]*dirEntry // by line address, across all banks
+	entries proto.Pages[dirPage] // line entries, across all banks
 	// l1s indexes the L1s by core ID (registered by L1.SetDirectory), so
 	// sharer sets can hold core IDs.
 	l1s []*L1
@@ -56,7 +60,7 @@ type Directory struct {
 
 // NewDirectory creates the directory for a tiles-tile system.
 func NewDirectory(cfg *Config, tiles int) *Directory {
-	d := &Directory{cfg: cfg, tiles: tiles, entries: make(map[proto.Addr]*dirEntry)}
+	d := &Directory{cfg: cfg, tiles: tiles}
 	d.recvFn = d.recv
 	return d
 }
@@ -94,24 +98,32 @@ func (d *Directory) NodeFor(line proto.Addr) proto.NodeID {
 
 // lookup returns line's entry without creating it (nil if unknown).
 func (d *Directory) lookup(line proto.Addr) *dirEntry {
-	return d.entries[line]
+	if p := d.entries.Get(line); p != nil {
+		return p[line.PageLine()]
+	}
+	return nil
 }
 
-// forEachEntry visits every entry (diagnostics and validation only;
-// callers sort whatever they collect).
+// forEachEntry visits every entry in ascending line order (diagnostics
+// and validation only).
 func (d *Directory) forEachEntry(fn func(proto.Addr, *dirEntry)) {
-	for line, e := range d.entries { //simlint:allow determinism: callers sort collected keys
-		fn(line, e)
-	}
+	d.entries.Walk(func(base proto.Addr, p *dirPage) {
+		for i, e := range p {
+			if e != nil {
+				fn(base+proto.Addr(i*proto.LineBytes), e)
+			}
+		}
+	})
 }
 
+// entry returns line's entry, creating it.
 func (d *Directory) entry(line proto.Addr) *dirEntry {
-	e := d.entries[line]
-	if e == nil {
-		e = &dirEntry{}
-		d.entries[line] = e
+	p := d.entries.Page(line)
+	i := line.PageLine()
+	if p[i] == nil {
+		p[i] = &dirEntry{}
 	}
-	return e
+	return p[i]
 }
 
 func (d *Directory) recvGetS(line proto.Addr, req *L1) { d.enqueue(line, dirPending{req, false}) }

@@ -47,7 +47,6 @@ func (d *Directory) BusyLines() []proto.Addr {
 			out = append(out, line)
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -1,8 +1,9 @@
 package mesi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"denovosync/internal/cache"
 	"denovosync/internal/proto"
@@ -65,7 +66,7 @@ func (d *Directory) Validate(l1s []*L1) error {
 	// Check each line's run of holders in address order, so which
 	// violation surfaces first is fixed; the stable sort keeps each run's
 	// cores in L1 order.
-	sort.SliceStable(held, func(i, j int) bool { return held[i].line < held[j].line })
+	slices.SortStableFunc(held, func(a, b heldLine) int { return cmp.Compare(a.line, b.line) })
 	for i := 0; i < len(held); {
 		line, j := held[i].line, i+1
 		for j < len(held) && held[j].line == line {

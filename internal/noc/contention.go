@@ -78,7 +78,7 @@ func (n *Network) contendedLatency(src, dst proto.NodeID, flits int) sim.Cycle {
 	t := now
 	perHop := n.Latency(1)
 	occupancy := sim.Cycle(flits) * n.cont.flitCycles
-	links := n.Mesh.route(n.CoordOf(src), n.CoordOf(dst))
+	links := n.Mesh.route(n.coords[src], n.coords[dst])
 	for _, l := range links {
 		if free := n.cont.freeAt[l]; free > t {
 			t = free

@@ -99,6 +99,9 @@ func TestLatencyFitsTable1(t *testing.T) {
 	}
 }
 
+// TestSendDeliversAfterLatency: a message arrives Latency(Hops) after it
+// is sent and tallies flits × Hops flit-hops, for every (src, dst) pair
+// of the 16- and 64-core meshes, the memory controllers included.
 func TestSendDeliversAfterLatency(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e, mesh4x4(), 10, 3)
@@ -110,6 +113,39 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 	e.Run(0)
 	if at != 20 {
 		t.Fatalf("delivered at %d, want 20", at)
+	}
+
+	for _, fit := range []struct {
+		mesh     Mesh
+		num, den sim.Cycle
+	}{{mesh4x4(), 10, 3}, {mesh8x8(), 4, 1}} {
+		e := sim.NewEngine()
+		n := New(e, fit.mesh, fit.num, fit.den)
+		nodes := fit.mesh.Tiles() + NumMemCtrl
+		for src := proto.NodeID(0); int(src) < nodes; src++ {
+			for dst := proto.NodeID(0); int(dst) < nodes; dst++ {
+				hops := fit.mesh.Hops(src, dst)
+				want := (sim.Cycle(hops)*fit.num + fit.den - 1) / fit.den
+				if l := n.Latency(hops); l != want {
+					t.Fatalf("%dx%d: Latency(%d) = %d, want %d", fit.mesh.W, fit.mesh.H, hops, l, want)
+				}
+				flits := 1 + int(src+dst)%proto.LineDataFlits
+				before, sent := n.TotalTraffic(), e.Now()
+				arrived := sim.Cycle(0)
+				lat := n.Send(src, dst, proto.ClassST, flits, func(uint64) { arrived = e.Now() }, 0)
+				e.Run(0)
+				if lat != want || arrived != sent+want {
+					t.Fatalf("%dx%d: %d -> %d (%d hops): latency %d, arrived after %d cycles, want %d",
+						fit.mesh.W, fit.mesh.H, src, dst, hops, lat, arrived-sent, want)
+				}
+				if got := n.TotalTraffic() - before; got != uint64(flits*hops) {
+					t.Fatalf("%dx%d: %d -> %d: %d flit-hops, want %d flits x %d hops", fit.mesh.W, fit.mesh.H, src, dst, got, flits, hops)
+				}
+			}
+		}
+		if got := n.Messages()[proto.ClassST]; got != uint64(nodes*nodes) {
+			t.Fatalf("%dx%d: %d messages, want %d", fit.mesh.W, fit.mesh.H, got, nodes*nodes)
+		}
 	}
 }
 

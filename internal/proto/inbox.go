@@ -18,14 +18,24 @@ type Inbox[M any] struct {
 
 // Post stores m in a free slot and returns the slot.
 func (b *Inbox[M]) Post(m M) uint64 {
+	slot, p := b.Claim()
+	*p = m
+	return slot
+}
+
+// Claim takes a free slot and returns it with a pointer to its message,
+// for a sender to fill in place rather than copy in: the message still
+// holds what the slot last held, so the sender sets every field its
+// receiver reads. The pointer is valid until the next Post or Claim.
+func (b *Inbox[M]) Claim() (uint64, *M) {
 	if n := len(b.free); n > 0 {
 		i := b.free[n-1]
 		b.free = b.free[:n-1]
-		b.slots[i] = m
-		return uint64(i)
+		return uint64(i), &b.slots[i]
 	}
-	b.slots = append(b.slots, m)
-	return uint64(len(b.slots) - 1)
+	var zero M
+	b.slots = append(b.slots, zero)
+	return uint64(len(b.slots) - 1), &b.slots[len(b.slots)-1]
 }
 
 // At returns the message in slot, in place: reading it copies nothing.
