@@ -139,18 +139,37 @@ chaos-smoke:
 	cmp /tmp/denovosync-chaos-smoke/resumed.csv /tmp/denovosync-chaos-smoke/full.csv
 	@echo "chaos-smoke: sweep clean, watchdog fired, failure shrunk + replayed, resume byte-identical"
 
-# Golden checks: figure CSVs (Figs. 3-7 at reduced scale) and the
-# cycle-exact determinism fingerprints. Regenerate deliberately with
-# `make golden-update` after an intentional simulator change.
+# Golden checks: figure CSVs (Figs. 3-7 and the nine ablations at
+# reduced scale, built through exp.Reproduce, with the 13 paper claims
+# that hold at that scale gated) and the cycle-exact determinism
+# fingerprints. Regenerate deliberately with `make golden-update` after
+# an intentional simulator change.
 .PHONY: golden
 golden:
 	$(GO) test ./internal/harness -run TestGoldenFigures -count=1
 	$(GO) test ./internal/machine -run 'TestDeterminism|TestBatchingMatchesEager' -count=1
 
+# golden-update also regenerates the paper-scale record (results.csv and
+# experiments_raw.txt, ~1 min on 2 CPUs), so a deliberate timing change
+# refreshes it with the goldens; review all of them in the diff.
 .PHONY: golden-update
 golden-update:
 	$(GO) test ./internal/harness -run TestGoldenFigures -count=1 -update
 	$(GO) test ./internal/machine -run TestDeterminismGolden -count=1 -update
+	rm -rf /tmp/denovosync-golden-update && mkdir -p /tmp/denovosync-golden-update
+	$(GO) run ./cmd/paperbench -csv /tmp/denovosync-golden-update/results.csv > /dev/null
+	cp /tmp/denovosync-golden-update/results.csv results.csv
+	$(GO) run ./cmd/report -csv results.csv -full > experiments_raw.txt
+
+# paper-check reproduces Figures 3-7 at paper scale (~1 min on 2 CPUs)
+# and requires the CSV to equal the checked-in results.csv byte for
+# byte, so the record `make claims` gates is the simulator's output.
+.PHONY: paper-check
+paper-check:
+	rm -rf /tmp/denovosync-paper-check && mkdir -p /tmp/denovosync-paper-check
+	$(GO) run ./cmd/paperbench -csv /tmp/denovosync-paper-check/results.csv > /tmp/denovosync-paper-check/paperbench.txt
+	cmp /tmp/denovosync-paper-check/results.csv results.csv
+	@echo "paper-check: the paper-scale CSV is byte-identical to results.csv"
 
 # claims re-evaluates the paper's qualitative claims against the
 # checked-in paper-scale results (no simulation, ~1s) and fails when any

@@ -73,7 +73,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkFig3TATASLocks16 regenerates Figure 3 (a,b): TATAS kernels, 16 cores.
 func BenchmarkFig3TATASLocks16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig3(16, benchOptions)
+		f, err := denovosync.Reproduce("fig3", 16, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkFig3TATASLocks16(b *testing.B) {
 // BenchmarkFig3TATASLocks64 regenerates Figure 3 (c,d): TATAS kernels, 64 cores.
 func BenchmarkFig3TATASLocks64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig3(64, benchOptions)
+		f, err := denovosync.Reproduce("fig3", 64, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkFig3TATASLocks64(b *testing.B) {
 // BenchmarkFig4ArrayLocks16 regenerates Figure 4 (a,b): array locks, 16 cores.
 func BenchmarkFig4ArrayLocks16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig4(16, benchOptions)
+		f, err := denovosync.Reproduce("fig4", 16, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkFig4ArrayLocks16(b *testing.B) {
 // BenchmarkFig4ArrayLocks64 regenerates Figure 4 (c,d): array locks, 64 cores.
 func BenchmarkFig4ArrayLocks64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig4(64, benchOptions)
+		f, err := denovosync.Reproduce("fig4", 64, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkFig4ArrayLocks64(b *testing.B) {
 // algorithms, 16 cores.
 func BenchmarkFig5NonBlocking16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig5(16, benchOptions)
+		f, err := denovosync.Reproduce("fig5", 16, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkFig5NonBlocking16(b *testing.B) {
 // registration ping-pong appears and DeNovoSync's backoff recovers it.
 func BenchmarkFig5NonBlocking64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig5(64, benchOptions)
+		f, err := denovosync.Reproduce("fig5", 64, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkFig5NonBlocking64(b *testing.B) {
 // BenchmarkFig6Barriers16 regenerates Figure 6 (a,b): barriers, 16 cores.
 func BenchmarkFig6Barriers16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig6(16, benchOptions)
+		f, err := denovosync.Reproduce("fig6", 16, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkFig6Barriers16(b *testing.B) {
 // BenchmarkFig6Barriers64 regenerates Figure 6 (c,d): barriers, 64 cores.
 func BenchmarkFig6Barriers64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig6(64, benchOptions)
+		f, err := denovosync.Reproduce("fig6", 64, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func BenchmarkFig6Barriers64(b *testing.B) {
 // application models on MESI vs DeNovoSync.
 func BenchmarkFig7Applications(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.Fig7(benchOptions)
+		f, err := denovosync.Reproduce("fig7", 0, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkFig7Applications(b *testing.B) {
 // sensitivity study (16 cores for bench brevity).
 func BenchmarkAblationSWBackoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.AblationSWBackoff(16, benchOptions)
+		f, err := denovosync.Reproduce("swbackoff", 16, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkAblationSWBackoff(b *testing.B) {
 // BenchmarkAblationPadding regenerates the §7.1.1 lock-padding study.
 func BenchmarkAblationPadding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.AblationPadding(16, benchOptions)
+		f, err := denovosync.Reproduce("padding", 16, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func BenchmarkAblationPadding(b *testing.B) {
 // BenchmarkAblationEqChecks regenerates the §7.1.3 equality-check study.
 func BenchmarkAblationEqChecks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := denovosync.AblationEqChecks(16, benchOptions)
+		f, err := denovosync.Reproduce("eqchecks", 16, benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func BenchmarkAblationEqChecks(b *testing.B) {
 // parameters (counter width, default increment) on the M-S queue.
 func BenchmarkAblationBackoffParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := denovosync.AblationBackoffParams(16, benchOptions); err != nil {
+		if _, err := denovosync.Reproduce("hwparams", 16, benchOptions); err != nil {
 			b.Fatal(err)
 		}
 	}

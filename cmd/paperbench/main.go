@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"denovosync"
@@ -39,10 +41,16 @@ import (
 )
 
 func main() {
+	var ablations []string
+	for _, name := range exp.FigureNames() {
+		if !strings.HasPrefix(name, "fig") {
+			ablations = append(ablations, name)
+		}
+	}
 	var (
 		fig         = flag.Int("fig", 0, "figure to reproduce (3-7); 0 = all")
-		coresFlag   = flag.Int("cores", 0, "restrict kernel figures to 16 or 64 cores; 0 = both")
-		ablate      = flag.String("ablate", "", "ablation: swbackoff | padding | eqchecks | signatures | invall | contention | mcs | granularity | hwparams")
+		coresFlag   = flag.Int("cores", 0, "restrict kernel figures to 16 or 64 cores; 0 = both (64 with -ablate)")
+		ablate      = flag.String("ablate", "", "ablation: "+strings.Join(ablations, " | "))
 		scale       = flag.Int("scale", 1, "workload divisor (1 = paper scale)")
 		csvPath     = flag.String("csv", "", "append machine-readable results to this file")
 		journalPath = flag.String("journal", "", "JSONL result journal (enables resume)")
@@ -59,12 +67,15 @@ func main() {
 	)
 	flag.Parse()
 
-	// Reject an unknown figure before anything starts: it would run
-	// nothing and exit 0. -ablate ignores -fig.
-	if *ablate == "" && (*fig < 3 || *fig > 7) && *fig != 0 {
-		fmt.Fprintf(os.Stderr, "paperbench: -fig %d: want 3, 4, 5, 6 or 7 (0 = all)\n", *fig)
-		flag.Usage()
-		os.Exit(2)
+	// Reject a bad figure, ablation or core count before anything starts
+	// (profile, journal, CSV). -ablate ignores -fig.
+	switch {
+	case *ablate == "" && (*fig < 3 || *fig > 7) && *fig != 0:
+		usagef("-fig %d: want 3, 4, 5, 6 or 7 (0 = all)", *fig)
+	case *ablate != "" && !slices.Contains(ablations, *ablate):
+		usagef("-ablate %s: want one of %s", *ablate, strings.Join(ablations, ", "))
+	case *coresFlag != 0 && *coresFlag != 16 && *coresFlag != 64:
+		usagef("-cores %d: want 16 or 64 (0 = the default)", *coresFlag)
 	}
 
 	if *listConfig {
@@ -172,13 +183,7 @@ func main() {
 		if cores == 0 {
 			cores = 64
 		}
-		switch *ablate {
-		case "swbackoff", "padding", "eqchecks", "signatures", "invall",
-			"contention", "mcs", "granularity", "hwparams":
-			emit(*ablate, cores)
-		default:
-			fatalf("unknown ablation %q", *ablate)
-		}
+		emit(*ablate, cores)
 		closeCSV(csv)
 		return
 	}
@@ -235,6 +240,13 @@ func printTable1() {
 		fmt.Printf("  hw backoff         %d-bit counter, default increment %d, grow every %d remote reads\n\n",
 			p.BackoffBits, p.DefaultIncrement, p.IncEveryN)
 	}
+}
+
+// usagef reports a bad flag value with the usage text and exits 2.
+func usagef(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "paperbench: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...interface{}) {

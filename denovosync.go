@@ -15,8 +15,9 @@
 // Workloads are plain Go functions written against the Thread API
 // (Load/Store, SyncLoad/SyncStore/CAS/FetchAdd, Compute, region-based
 // SelfInvalidate). The library ships the paper's full evaluation: 24
-// synchronization kernels, 13 application models, and a harness that
-// regenerates every figure of the evaluation section.
+// synchronization kernels, 13 application models, and Reproduce, which
+// regenerates every figure of the evaluation section and each ablation
+// study.
 //
 // Quick start:
 //
@@ -39,6 +40,7 @@ import (
 	"denovosync/internal/apps"
 	"denovosync/internal/barrier"
 	"denovosync/internal/cpu"
+	"denovosync/internal/exp"
 	"denovosync/internal/harness"
 	"denovosync/internal/kernels"
 	"denovosync/internal/lockfree"
@@ -225,7 +227,7 @@ type (
 	// FigureRow is one (workload, protocol) result within a Figure.
 	FigureRow = harness.Row
 	// FigureOptions tunes a reproduction run (workload scale).
-	FigureOptions = harness.Options
+	FigureOptions = exp.Options
 )
 
 // Kernel groups (one per kernel figure).
@@ -267,20 +269,15 @@ func CheckClaims(f *Figure, w io.Writer) (pass, deviations int) {
 	return harness.CheckClaims(f, w)
 }
 
-// Figure reproduction entry points (see EXPERIMENTS.md).
-var (
-	Fig3                   = harness.Fig3
-	Fig4                   = harness.Fig4
-	Fig5                   = harness.Fig5
-	Fig6                   = harness.Fig6
-	Fig7                   = harness.Fig7
-	AblationSWBackoff      = harness.AblationSWBackoff
-	AblationPadding        = harness.AblationPadding
-	AblationEqChecks       = harness.AblationEqChecks
-	AblationSignatures     = harness.AblationSignatures
-	AblationInvalidateAll  = harness.AblationInvalidateAll
-	AblationLinkContention = harness.AblationLinkContention
-	AblationAltLocks       = harness.AblationAltLocks
-	AblationGranularity    = harness.AblationGranularity
-	AblationBackoffParams  = harness.AblationBackoffParams
-)
+// Reproduce runs one of the paper's figures or ablation studies, named
+// as FigureNames lists them ("fig3".."fig7", "swbackoff", ...), on a
+// machine of cores cores (16 or 64; Figure 7 sets its own per-app sizes
+// and ignores it), with its runs spread over GOMAXPROCS workers. See
+// EXPERIMENTS.md.
+func Reproduce(name string, cores int, o FigureOptions) (*Figure, error) {
+	return exp.Reproduce(name, cores, o)
+}
+
+// FigureNames lists the reproducible figures and ablation studies in
+// display order.
+func FigureNames() []string { return exp.FigureNames() }

@@ -113,7 +113,7 @@ func TestKernelAndAppFacades(t *testing.T) {
 
 // TestFigureRendering runs a tiny Figure 4 and checks the render shape.
 func TestFigureRendering(t *testing.T) {
-	f, err := denovosync.Fig4(16, denovosync.FigureOptions{Scale: 25})
+	f, err := denovosync.Reproduce("fig4", 16, denovosync.FigureOptions{Scale: 25})
 	if err != nil {
 		t.Fatal(err)
 	}

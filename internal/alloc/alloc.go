@@ -21,9 +21,11 @@ const base proto.Addr = 0x1_0000
 
 // Lane address layout. Mid-run allocations (lock-free node carving) go
 // through per-thread lanes: disjoint bump arenas far above the shared
-// space, so no two threads ever touch the same allocator state and the
-// addresses a thread draws depend only on its own allocation sequence,
-// not on how the threads interleave.
+// space, so no two threads ever touch the same allocator state and, for
+// the first 3 MiB a lane draws, the addresses it draws depend only on its
+// own allocation sequence, not on how the threads interleave. A lane
+// that outgrows that takes shared extension arenas in the order lanes
+// ask for them, which a deterministic run fixes as well.
 const (
 	// laneBase is the first lane address; everything below it belongs to
 	// the shared wiring-time space. All lane addresses stay below 2^32:
@@ -32,8 +34,8 @@ const (
 	laneBase proto.Addr = 1 << 28
 	// laneStride is each lane's first arena size (1 MiB — ~16k
 	// line-padded two-word nodes, enough for every kernel but the 64-core
-	// MESI Herlihy heap at paper scale, which copies its whole heap per
-	// operation).
+	// Herlihy stack and heap at paper scale, which copy their whole object
+	// per operation).
 	laneStride proto.Addr = 1 << 20
 	// maxLanes bounds the lane index (thread/core ID); the top lane ends
 	// at laneBase + maxLanes*laneStride = ovfBase.
@@ -43,22 +45,32 @@ const (
 	// laneID*ovfStride. The top one ends at 0xD000_0000 < 2^32.
 	ovfBase   proto.Addr = laneBase + maxLanes*laneStride
 	ovfStride proto.Addr = 2 << 20
+	// extBase is the first extension arena: a lane whose overflow arena
+	// is full takes the next free one (extStride each), and the next
+	// when that fills, up to the last one, which ends at 2^32 (384
+	// arenas, 768 MiB).
+	extBase   proto.Addr = ovfBase + maxLanes*ovfStride
+	extStride proto.Addr = 2 << 20
+	extEnd    proto.Addr = 1 << 32
 )
 
 // lane is one thread's private bump arena: a first arena and, once that
-// is full, an overflow arena. Each arena's region table holds one entry
-// per word from the arena's start up to the bump pointer and grows with
-// it; ovf stays nil until the lane overflows.
+// is full, an overflow arena, then extension arenas. Each arena's region
+// table holds one entry per word from the arena's start up to the bump
+// pointer and grows with it; ovf stays nil until the lane overflows.
 type lane struct {
 	next    proto.Addr
 	limit   proto.Addr
 	regions []uint8 // per word of the first arena
 	ovf     []uint8 // per word of the overflow arena
+	ext     int     // 1 + the index of the extension arena in use; 0 = none
 }
 
-// laneStart and ovfStart locate lane id's two arenas.
+// laneStart and ovfStart locate lane id's two arenas, extStart extension
+// arena i.
 func laneStart(id int) proto.Addr { return laneBase + proto.Addr(id)*laneStride }
 func ovfStart(id int) proto.Addr  { return ovfBase + proto.Addr(id)*ovfStride }
+func extStart(i int) proto.Addr   { return extBase + proto.Addr(i)*extStride }
 
 // Space is a simulated address space with region tagging. One goroutine
 // runs a machine, so nothing here is synchronized.
@@ -70,6 +82,9 @@ type Space struct {
 
 	// lanes[i] is thread i's arena, created on its first allocation.
 	lanes []*lane
+	// ext[i] is the region table of extension arena i, in the order the
+	// lanes took them.
+	ext [][]uint8
 }
 
 // New returns an empty space. Region 0 ("default") is pre-assigned to all
@@ -179,20 +194,34 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 		ln.next += proto.LineBytes - rem
 	}
 	size := proto.Addr(words * proto.WordBytes)
-	if ln.next+size > ln.limit && ln.ovf == nil {
-		// The first arena is full: continue in the overflow arena.
-		start := ovfStart(laneID)
-		ln.ovf = []uint8{}
-		ln.next, ln.limit = start, start+ovfStride
+	if ln.next+size > ln.limit {
+		// The arena is full: continue in the overflow arena, then in the
+		// next free extension arena.
+		start, stride := ovfStart(laneID), ovfStride
+		if ln.ovf == nil {
+			ln.ovf = []uint8{}
+		} else {
+			start, stride = extStart(len(s.ext)), extStride
+			if start+stride > extEnd {
+				panic("alloc: lane arenas exhausted the address space below 2^32")
+			}
+			s.ext = append(s.ext, []uint8{})
+			ln.ext = len(s.ext)
+		}
+		ln.next, ln.limit = start, start+stride
 	}
 	a := ln.next
 	ln.next += size
 	if ln.next > ln.limit {
-		panic("alloc: lane overflow")
+		panic(fmt.Sprintf("alloc: a lane allocation of %d bytes exceeds an arena", size))
 	}
-	if ln.ovf != nil {
+	switch {
+	case ln.ext > 0:
+		i := ln.ext - 1
+		s.ext[i] = tag(s.ext[i], (a-extStart(i))/proto.WordBytes, words, region)
+	case ln.ovf != nil:
 		ln.ovf = tag(ln.ovf, (a-ovfStart(laneID))/proto.WordBytes, words, region)
-	} else {
+	default:
 		ln.regions = tag(ln.regions, (a-laneStart(laneID))/proto.WordBytes, words, region)
 	}
 	return a
@@ -203,6 +232,12 @@ func (s *Space) RegionOf(a proto.Addr) proto.RegionID {
 	w := a.Word()
 	switch {
 	case w >= ovfBase:
+		if w >= extBase {
+			if i := (w - extBase) / extStride; i < proto.Addr(len(s.ext)) {
+				return regionAt(s.ext[i], (w-extStart(int(i)))/proto.WordBytes)
+			}
+			return 0
+		}
 		li := (w - ovfBase) / ovfStride
 		if li < proto.Addr(len(s.lanes)) && s.lanes[li] != nil {
 			return regionAt(s.lanes[li].ovf, (w-ovfStart(int(li)))/proto.WordBytes)

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,22 +170,111 @@ func TestLaneOverflowArena(t *testing.T) {
 	}
 }
 
-// TestLaneOverflowExhausted: a lane that fills its overflow arena too
-// still fails loudly.
+// TestLaneOverflowExhausted: a lane that fills its overflow arena takes
+// extension arenas, up to the last one below 2^32; past that, and for a
+// single allocation larger than an arena, the allocator fails loudly.
 func TestLaneOverflowExhausted(t *testing.T) {
 	s := New()
 	s.LaneAllocAligned(5, int(ovfStride/proto.WordBytes), 0) // spills, fills the overflow arena
-	defer func() {
-		if recover() == nil {
-			t.Fatal("allocation past the overflow arena did not panic")
+	if a := s.LaneAllocAligned(5, 1, 0); a != extBase {
+		t.Fatalf("allocation past the overflow arena at %#x, want the first extension arena %#x", uint64(a), uint64(extBase))
+	}
+	// Pretend every extension arena but the last is taken.
+	s.ext = make([][]uint8, int((extEnd-extBase)/extStride)-1)
+	s.LaneAllocAligned(6, int(ovfStride/proto.WordBytes), 0)         // fills lane 6's overflow arena
+	last := s.LaneAllocAligned(6, int(extStride/proto.WordBytes), 0) // and the last extension arena
+	if last != extEnd-extStride {
+		t.Fatalf("last extension arena at %#x, want %#x", uint64(last), uint64(extEnd-extStride))
+	}
+	for _, c := range []struct {
+		name  string
+		lane  int
+		words int
+		want  string
+	}{
+		{"address space", 6, 1, "exhausted the address space below 2^32"},
+		{"oversized", 7, int(ovfStride/proto.WordBytes) + 1, "exceeds an arena"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one containing %q", c.name, msg, c.want)
+				}
+			}()
+			s.LaneAllocAligned(c.lane, c.words, 0)
+		}()
+	}
+}
+
+// TestLaneExtensionArenas: two lanes that interleave allocations past
+// 8 MiB each draw line-aligned, disjoint addresses below 2^32; the first
+// 3 MiB of each lane sit exactly where they always did (first arena, then
+// overflow arena), and every allocation resolves to its own region.
+func TestLaneExtensionArenas(t *testing.T) {
+	s := New()
+	regions := []proto.RegionID{s.Region("a"), s.Region("b"), s.Region("c")}
+	type lane struct {
+		id, words int
+		stride    proto.Addr // bytes each allocation takes, line padding included
+		drawn     proto.Addr // bytes drawn so far
+	}
+	lanes := []*lane{{id: 3, words: 2, stride: proto.LineBytes}, {id: 60, words: 20, stride: 2 * proto.LineBytes}}
+	owner := map[proto.Addr]int{} // line → lane
+	type alloc struct {
+		addr   proto.Addr
+		words  int
+		region proto.RegionID
+	}
+	var allocs []alloc
+	for i := 0; lanes[0].drawn < 8<<20 || lanes[1].drawn < 8<<20; i++ {
+		for _, ln := range lanes {
+			region := regions[i%len(regions)]
+			a := s.LaneAllocAligned(ln.id, ln.words, region)
+			switch {
+			case a%proto.LineBytes != 0:
+				t.Fatalf("lane %d: allocation at %#x is not line-aligned", ln.id, uint64(a))
+			case a+ln.stride > extEnd:
+				t.Fatalf("lane %d: allocation at %#x ends past 2^32", ln.id, uint64(a))
+			case ln.drawn < laneStride && a != laneStart(ln.id)+ln.drawn:
+				t.Fatalf("lane %d: allocation at %#x, want %#x in the first arena", ln.id, uint64(a), uint64(laneStart(ln.id)+ln.drawn))
+			case ln.drawn >= laneStride && ln.drawn < laneStride+ovfStride && a != ovfStart(ln.id)+ln.drawn-laneStride:
+				t.Fatalf("lane %d: allocation at %#x, want %#x in the overflow arena", ln.id, uint64(a), uint64(ovfStart(ln.id)+ln.drawn-laneStride))
+			case ln.drawn >= laneStride+ovfStride && a < ovfStart(maxLanes):
+				t.Fatalf("lane %d: allocation %d MiB in at %#x, inside the lanes' own arenas", ln.id, ln.drawn>>20, uint64(a))
+			}
+			for l := a; l < a+ln.stride; l += proto.LineBytes {
+				if o, taken := owner[l]; taken {
+					t.Fatalf("lane %d: line %#x already drawn by lane %d", ln.id, uint64(l), o)
+				}
+				owner[l] = ln.id
+			}
+			allocs = append(allocs, alloc{a, ln.words, region})
+			ln.drawn += ln.stride
 		}
-	}()
-	s.LaneAllocAligned(5, 1, 0)
+	}
+	if len(s.ext) < 6 {
+		t.Fatalf("%d extension arenas taken, want at least 6 for 2 x 5 MiB", len(s.ext))
+	}
+	for _, a := range allocs {
+		if got := s.RegionOf(a.addr); got != a.region {
+			t.Fatalf("RegionOf(%#x) = %d, want %d", uint64(a.addr), got, a.region)
+		}
+		if got := s.RegionOf(a.addr + proto.Addr(a.words-1)*proto.WordBytes); got != a.region {
+			t.Fatalf("RegionOf(last word of %#x) = %d, want %d", uint64(a.addr), got, a.region)
+		}
+		if got := s.RegionOf(a.addr + proto.Addr(a.words)*proto.WordBytes); got != 0 {
+			t.Fatalf("RegionOf(padding after %#x) = %d, want 0", uint64(a.addr), got)
+		}
+	}
+	if got := s.RegionOf(extStart(len(s.ext))); got != 0 {
+		t.Fatalf("RegionOf in an untaken extension arena = %d, want 0", got)
+	}
 }
 
 // TestRegionOfAllocatesNothing: resolving a region — in the shared space,
-// a lane's first arena, its overflow arena, or unallocated space — is a
-// table read.
+// a lane's first arena, its overflow arena, an extension arena, or
+// unallocated space — is a table read.
 func TestRegionOfAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -195,7 +285,10 @@ func TestRegionOfAllocatesNothing(t *testing.T) {
 	lane := s.LaneAllocAligned(2, 2, r)
 	s.LaneAllocAligned(3, int(laneStride/proto.WordBytes), r) // fills lane 3's first arena
 	ovf := s.LaneAllocAligned(3, 2, r)
-	addrs := []proto.Addr{shared, shared + 3*proto.WordBytes, lane, ovf, ovf + 2*proto.WordBytes, 0, laneBase - proto.WordBytes, ovfStart(9)}
+	s.LaneAllocAligned(4, int(ovfStride/proto.WordBytes), r) // fills lane 4's overflow arena
+	ext := s.LaneAllocAligned(4, 2, r)
+	addrs := []proto.Addr{shared, shared + 3*proto.WordBytes, lane, ovf, ovf + 2*proto.WordBytes, ext, ext + 2*proto.WordBytes,
+		0, laneBase - proto.WordBytes, ovfStart(9), extStart(9)}
 	var sum proto.RegionID
 	lookups := func() {
 		for _, a := range addrs {

@@ -149,13 +149,12 @@ func TestChaosKillResumeByteIdenticalCSV(t *testing.T) {
 	}
 }
 
-// TestChaosRunKeysUnchangedForFigureRuns pins that adding the chaos
-// fields did not invalidate pre-existing journals: a figure run's key is
-// computed from the identical JSON as before (all chaos fields are
-// omitempty and zero).
+// TestChaosRunKeysUnchangedForFigureRuns pins a figure run's key: adding
+// the chaos fields did not change it (all chaos fields are omitempty and
+// zero), so only a keySchema bump may move it.
 func TestChaosRunKeysUnchangedForFigureRuns(t *testing.T) {
 	r := Run{Kind: KindKernel, Workload: "tatas-counter", Protocol: "M", Cores: 16, EqChecks: -1}
-	if got := r.Key(); got != "4f267a348938fd13" {
+	if got := r.Key(); got != "a3fbd33e172b7d34" {
 		t.Errorf("figure run key drifted to %q — journaled results would re-execute", got)
 	}
 	// The structural reason keys survived the chaos fields: they are all

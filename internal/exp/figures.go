@@ -13,7 +13,7 @@ import (
 	"denovosync/internal/sim"
 )
 
-// Options tunes a planned reproduction (mirrors harness.Options).
+// Options tunes a planned reproduction.
 type Options struct {
 	// Scale shrinks workloads by this divisor; 1 = the paper's sizes.
 	Scale int
@@ -26,8 +26,9 @@ func (o Options) scale() int {
 	return o.Scale
 }
 
-// scaledIters mirrors harness.Options.kernelCfg: 0 keeps each kernel's
-// paper default; larger scales divide the canonical 100 iterations.
+// scaledIters is a kernel run's iteration count at the options' scale:
+// 0 keeps each kernel's paper default; larger scales divide the
+// canonical 100 iterations.
 func (o Options) scaledIters() int {
 	s := o.scale()
 	if s <= 1 {
@@ -50,10 +51,9 @@ func FigureNames() []string {
 }
 
 // FigurePlan expands one of the paper's figures or ablation studies into
-// a grid plan. The plan IDs, titles, row order and per-run configuration
-// mirror the internal/harness figure functions exactly, so a merged
-// figure renders byte-identically to the serial harness path (the
-// equivalence is pinned by TestFigurePlanMatchesHarness).
+// a grid plan: the one definition of each figure's ID, title, row order
+// and per-run configuration. Every CLI, the public API (Reproduce) and
+// the golden figures (internal/harness/testdata) go through it.
 func FigurePlan(name string, cores int, o Options) (Plan, error) {
 	switch name {
 	case "fig3":
@@ -361,6 +361,22 @@ func Figure(p Plan, records map[string]*Record) (*harness.Figure, error) {
 			p.ID, len(bad), len(p.Runs), strings.Join(bad, "\n  "))
 	}
 	return f, nil
+}
+
+// Reproduce runs one of the paper's figures or ablation studies (a
+// FigureNames entry; cores is 16 or 64 and ignored by fig7) on a
+// GOMAXPROCS worker pool without a journal, and assembles its figure.
+// A failed run fails the figure.
+func Reproduce(name string, cores int, o Options) (*harness.Figure, error) {
+	plan, err := FigurePlan(name, cores, o)
+	if err != nil {
+		return nil, err
+	}
+	records, _, err := (&Engine{}).Execute(plan)
+	if err != nil {
+		return nil, err
+	}
+	return Figure(plan, records)
 }
 
 // MergeCSV renders a plan's journaled records in the harness figure CSV

@@ -3,52 +3,39 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"denovosync/internal/harness"
 )
 
-// TestFigurePlanMatchesHarness pins the planners against the serial
-// harness figure functions: the exp-planned, pool-executed figure must
-// render to byte-identical CSV. This is the drift guard that lets
-// cmd/paperbench route its grids through exp without changing output.
+// TestFigurePlanMatchesHarness pins the planners against the figures the
+// harness's own figure functions produced before exp became the one
+// definition: their scale-10 CSVs are frozen in internal/harness/testdata
+// (Figures 3-7 from harness.Fig*, the ablations from harness.Ablation*).
+// The plan, executed on a 4-worker pool rather than Reproduce's default
+// one and assembled by Figure, must render them byte for byte.
 func TestFigurePlanMatchesHarness(t *testing.T) {
-	o := Options{Scale: 10}
-	ho := harness.Options{Scale: 10}
-	cases := []struct {
-		name  string
-		cores int
-		ref   func() (*harness.Figure, error)
-	}{
-		{"fig3", 16, func() (*harness.Figure, error) { return harness.Fig3(16, ho) }},
-		{"eqchecks", 16, func() (*harness.Figure, error) { return harness.AblationEqChecks(16, ho) }},
-		{"invall", 16, func() (*harness.Figure, error) { return harness.AblationInvalidateAll(16, ho) }},
-		{"hwparams", 16, func() (*harness.Figure, error) { return harness.AblationBackoffParams(16, ho) }},
-	}
+	names := []string{"fig3", "eqchecks", "invall", "hwparams"}
 	if !testing.Short() {
-		cases = append(cases,
-			struct {
-				name  string
-				cores int
-				ref   func() (*harness.Figure, error)
-			}{"fig7", 0, func() (*harness.Figure, error) { return harness.Fig7(harness.Options{Scale: 25}) }},
-		)
+		names = append(names, "fig7")
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			opt := o
-			if c.name == "fig7" {
-				opt = Options{Scale: 25}
+	for _, name := range names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			golden := name + "_16c_scale10.csv"
+			if name == "fig7" {
+				golden = "fig7_scale10.csv"
 			}
-			plan, err := FigurePlan(c.name, c.cores, opt)
+			want, err := os.ReadFile(filepath.Join("..", "harness", "testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := FigurePlan(name, 16, Options{Scale: 10})
 			if err != nil {
 				t.Fatalf("FigurePlan: %v", err)
 			}
-			eng := &Engine{Workers: 4}
-			records, _, err := eng.Execute(plan)
+			records, _, err := (&Engine{Workers: 4}).Execute(plan)
 			if err != nil {
 				t.Fatalf("Execute: %v", err)
 			}
@@ -56,16 +43,11 @@ func TestFigurePlanMatchesHarness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Figure: %v", err)
 			}
-			want, err := c.ref()
-			if err != nil {
-				t.Fatalf("harness reference: %v", err)
-			}
-			var gotCSV, wantCSV bytes.Buffer
+			var gotCSV bytes.Buffer
 			got.CSV(&gotCSV)
-			want.CSV(&wantCSV)
-			if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
-				t.Errorf("exp-planned %s diverges from the harness figure:\n--- exp ---\n%s--- harness ---\n%s",
-					c.name, gotCSV.String(), wantCSV.String())
+			if !bytes.Equal(gotCSV.Bytes(), want) {
+				t.Errorf("exp-planned %s diverges from the harness figure %s:\n--- exp ---\n%s--- harness ---\n%s",
+					name, golden, gotCSV.String(), want)
 			}
 		})
 	}

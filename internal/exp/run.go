@@ -103,8 +103,18 @@ type Run struct {
 
 // keySchema versions the Key computation: bump it whenever Run's keyed
 // fields or their meaning change, so stale journals are re-executed
-// rather than silently misread.
-const keySchema = "exp.v1:"
+// rather than silently misread. v2: every figure, sweep and manifest run
+// arms the watchdog, whose tick adds one event to Stats.Events.
+const keySchema = "exp.v2:"
+
+// watchdogCycles is the deadlock/livelock budget of every machine a
+// figure, sweep or manifest run builds (machine.Params.WatchdogCycles):
+// a hang aborts with a *machine.WatchdogError and its diagnostic
+// snapshot instead of spinning to the event limit. It is orders of
+// magnitude beyond any legitimate retirement gap (no paper-scale figure
+// or ablation run takes more than 66.1M cycles in all), so it only fires
+// on a genuine hang.
+const watchdogCycles sim.Cycle = 100_000_000
 
 // Key returns the run's deterministic content hash (16 hex digits).
 // Cosmetic fields (Display, Label) do not participate, so relabeling a
@@ -153,7 +163,7 @@ func ParseProtocol(s string) (machine.Protocol, error) {
 }
 
 // params builds the machine configuration: the Table 1 preset for the
-// run's core count plus any explicit overrides.
+// run's core count with the watchdog armed, plus any explicit overrides.
 func (r Run) params() (machine.Params, error) {
 	var p machine.Params
 	switch r.Cores {
@@ -164,6 +174,7 @@ func (r Run) params() (machine.Params, error) {
 	default:
 		return p, fmt.Errorf("exp: unsupported core count %d (want 16 or 64)", r.Cores)
 	}
+	p.WatchdogCycles = watchdogCycles
 	if r.BackoffBits != 0 {
 		p.BackoffBits = r.BackoffBits
 	}

@@ -87,6 +87,38 @@ func TestExecuteKernelRun(t *testing.T) {
 	}
 }
 
+// TestRunParams: every run builds the Table 1 machine for its core count
+// with the 100M-cycle watchdog armed, so a hang in any figure, sweep or
+// manifest run aborts with a diagnostic instead of spinning to the event
+// limit; machine overrides apply on top.
+func TestRunParams(t *testing.T) {
+	for _, c := range []struct{ cores, meshW, meshH int }{{16, 4, 4}, {64, 8, 8}} {
+		p, err := Run{Kind: KindKernel, Workload: "tatas-counter", Protocol: "DS", Cores: c.cores}.params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Cores != c.cores || p.MeshW != c.meshW || p.MeshH != c.meshH {
+			t.Errorf("%dc: params = %d cores on %dx%d, want %dx%d", c.cores, p.Cores, p.MeshW, p.MeshH, c.meshW, c.meshH)
+		}
+		if p.WatchdogCycles != 100_000_000 {
+			t.Errorf("%dc: watchdog = %d cycles, want 100000000", c.cores, p.WatchdogCycles)
+		}
+	}
+	p, err := Run{Cores: 64, BackoffBits: 6, Increment: 256, Signatures: true, LineGranularity: true, LinkContention: true}.params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.BackoffBits != 6 || p.DefaultIncrement != 256 || !p.Signatures || !p.LineGranularity || !p.LinkContention {
+		t.Errorf("overrides not applied: %+v", p)
+	}
+	if p.WatchdogCycles != 100_000_000 {
+		t.Errorf("overrides disarmed the watchdog: %d cycles", p.WatchdogCycles)
+	}
+	if _, err := (Run{Cores: 32}).params(); err == nil {
+		t.Error("params accepted 32 cores")
+	}
+}
+
 func TestManifestExpand(t *testing.T) {
 	eq := 0
 	m := Manifest{

@@ -268,8 +268,8 @@ func Fig7Claims() []Claim {
 	}
 }
 
-// ClaimsFor returns the claim set matching a figure produced by
-// Fig3..Fig7 (empty for ablations).
+// ClaimsFor returns the claim set matching a figure of the fig3..fig7
+// plans (empty for ablations).
 func ClaimsFor(f *Figure) []Claim {
 	switch {
 	case strings.HasPrefix(f.ID, "Figure 3"):

@@ -1,22 +1,19 @@
-// Package harness runs the paper's experiments — every figure and table of
-// the evaluation (§7) plus the ablation studies — and renders the results
-// as normalized tables in the same form as the paper's stacked-bar charts.
+// Package harness renders and checks reproduced figures: every figure of
+// the paper's evaluation (§7) and each ablation study, as normalized
+// tables, stacked bars or CSV, with the geometric-mean summaries and the
+// paper's qualitative claims evaluated against them. The figures
+// themselves are defined and run by internal/exp (exp.FigurePlan,
+// exp.Reproduce).
 package harness
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"strings"
-	"sync"
 
-	"denovosync/internal/alloc"
-	"denovosync/internal/kernels"
 	"denovosync/internal/machine"
 	"denovosync/internal/proto"
-	"denovosync/internal/sim"
 	"denovosync/internal/stats"
 )
 
@@ -45,88 +42,6 @@ type Figure struct {
 	Title string
 	Cores int
 	Rows  []Row
-}
-
-// DefaultWatchdog is the deadlock/livelock budget applied to every
-// machine the harness builds (machine.Params.WatchdogCycles): a hang
-// aborts with a structured diagnostic snapshot instead of spinning to
-// the event limit. The default is generous — orders of magnitude beyond
-// any legitimate retirement gap — so it only fires on a genuine hang.
-// Set to 0 to disable.
-var DefaultWatchdog sim.Cycle = 100_000_000
-
-// ParamsFor returns the Table 1 configuration for a core count, with the
-// harness's watchdog budget applied.
-func ParamsFor(cores int) machine.Params {
-	var p machine.Params
-	switch cores {
-	case 16:
-		p = machine.Params16()
-	case 64:
-		p = machine.Params64()
-	default:
-		panic(fmt.Sprintf("harness: unsupported core count %d", cores))
-	}
-	p.WatchdogCycles = DefaultWatchdog
-	return p
-}
-
-// DefaultProtocols is the paper's kernel comparison set (M, DS0, DS).
-func DefaultProtocols() []machine.Protocol {
-	return []machine.Protocol{machine.MESI, machine.DeNovoSync0, machine.DeNovoSync}
-}
-
-// RunKernelGroup reproduces one kernel figure (3, 4, 5 or 6) at the given
-// core count. cfg.Cores is overridden. Runs are independent machines, so
-// they execute concurrently (each machine is internally single-threaded
-// and deterministic; row order is fixed by index).
-func RunKernelGroup(id, title string, g kernels.Group, cores int, cfg kernels.Config, protos []machine.Protocol) (*Figure, error) {
-	f := &Figure{ID: id, Title: title, Cores: cores}
-	cfg.Cores = cores
-	type job struct {
-		k    kernels.Kernel
-		prot machine.Protocol
-	}
-	var jobs []job
-	for _, k := range kernels.ByGroup(g) {
-		for _, prot := range protos {
-			jobs = append(jobs, job{k, prot})
-		}
-	}
-	f.Rows = make([]Row, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		i, j := i, j
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// A panicking kernel configuration must fail its own row, not
-			// kill the whole figure (and the process).
-			defer func() {
-				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("%s/%s/%v: panic: %v\n%s", id, j.k.ID, j.prot, p, debug.Stack())
-				}
-			}()
-			m := machine.New(ParamsFor(cores), j.prot, alloc.New())
-			rs, err := kernels.Run(j.k, m, cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s/%v: %w", id, j.k.ID, j.prot, err)
-				return
-			}
-			f.Rows[i] = Row{Workload: j.k.Name, Protocol: j.prot, Stats: rs}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
 }
 
 // baseline returns the MESI row for a workload (normalization reference).

@@ -1,65 +1,106 @@
-package harness
+package harness_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"denovosync/internal/kernels"
+	"denovosync/internal/exp"
+	"denovosync/internal/harness"
 	"denovosync/internal/machine"
 )
 
-var quick = Options{Scale: 25} // 4 iterations per kernel
+var quick = exp.Options{Scale: 25} // 4 iterations per kernel
 
-func TestParamsFor(t *testing.T) {
-	if ParamsFor(16).Cores != 16 || ParamsFor(64).Cores != 64 {
-		t.Fatal("ParamsFor broken")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ParamsFor(32) did not panic")
-		}
-	}()
-	ParamsFor(32)
-}
-
-func TestRunKernelGroupShape(t *testing.T) {
-	f, err := RunKernelGroup("t", "test", kernels.Barriers, 16, quick.kernelCfg(), DefaultProtocols())
+// reproduce builds a 16-core figure through the one figure definition.
+func reproduce(t *testing.T, name string, o exp.Options) *harness.Figure {
+	t.Helper()
+	f, err := exp.Reproduce(name, 16, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Rows) != 6*3 {
-		t.Fatalf("rows = %d, want 18", len(f.Rows))
-	}
-	if wls := f.Workloads(); len(wls) != 6 {
-		t.Fatalf("workloads = %v", wls)
-	}
-	for _, wl := range f.Workloads() {
-		if f.baseline(wl) == nil {
-			t.Fatalf("no MESI baseline for %q", wl)
+	return f
+}
+
+// TestParamsFor: a figure is built for one of the two Table 1 machines,
+// 16 or 64 cores, and no other. Each kernel run of a core-dependent plan
+// is on the machine asked for (an application run keeps its own size),
+// and a 32-core figure is refused before anything runs.
+func TestParamsFor(t *testing.T) {
+	for _, name := range exp.FigureNames() {
+		if name == "fig7" {
+			continue // per-application machine sizes; the core count is ignored
+		}
+		for _, cores := range []int{16, 64} {
+			p, err := exp.FigurePlan(name, cores, quick)
+			if err != nil {
+				t.Fatalf("%s at %dc: %v", name, cores, err)
+			}
+			if p.Cores != cores || len(p.Runs) == 0 {
+				t.Errorf("%s at %dc: plan for %d cores with %d runs", name, cores, p.Cores, len(p.Runs))
+			}
+			for _, r := range p.Runs {
+				if (r.Kind == exp.KindKernel && r.Cores != cores) || (r.Cores != 16 && r.Cores != 64) {
+					t.Errorf("%s at %dc: run %s", name, cores, r)
+				}
+			}
+		}
+		if _, err := exp.FigurePlan(name, 32, quick); err == nil {
+			t.Errorf("%s: FigurePlan accepted 32 cores", name)
+		}
+		if _, err := exp.Reproduce(name, 32, quick); err == nil {
+			t.Errorf("%s: Reproduce accepted 32 cores", name)
 		}
 	}
 }
 
-// TestRunKernelGroupRecoversPanics: a panic inside a figure's worker
-// goroutine (here: ParamsFor on an unsupported core count) must surface
-// as that row's error, not crash the process.
-func TestRunKernelGroupRecoversPanics(t *testing.T) {
-	_, err := RunKernelGroup("t", "test", kernels.Barriers, 12, quick.kernelCfg(), DefaultProtocols())
-	if err == nil {
-		t.Fatal("want an error from the panicking rows")
+// TestConfigRegistry: the figure registry the harness renders and checks.
+// FigureNames lists 14 distinct figures, each plans under its own ID, an
+// unknown name is refused, and the harness finds the paper's claims for
+// exactly Figures 3-7, per machine size for Figures 3-6. A plan ID that
+// drifted from the prefix ClaimsFor matches would silently drop that
+// figure's claims from the gate.
+func TestConfigRegistry(t *testing.T) {
+	names := exp.FigureNames()
+	if len(names) != 14 {
+		t.Fatalf("FigureNames() = %d entries, want 14", len(names))
 	}
-	for _, want := range []string{"panic", "unsupported core count"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+	claimed := map[string]bool{"fig3": true, "fig4": true, "fig5": true, "fig6": true, "fig7": true}
+	ids := map[string]string{}
+	for _, name := range names {
+		for _, cores := range []int{16, 64} {
+			p, err := exp.FigurePlan(name, cores, quick)
+			if err != nil {
+				t.Fatalf("FigurePlan(%s, %d): %v", name, cores, err)
+			}
+			if prev, dup := ids[p.ID]; dup && prev != name {
+				t.Errorf("%s and %s share the figure ID %q", prev, name, p.ID)
+			}
+			ids[p.ID] = name
+			cs := harness.ClaimsFor(&harness.Figure{ID: p.ID, Cores: p.Cores})
+			if claimed[name] != (len(cs) > 0) {
+				t.Errorf("%s (%q): %d claims", name, p.ID, len(cs))
+			}
+			for _, c := range cs {
+				if want := fmt.Sprintf("%s-%dc.", name, cores); name != "fig7" && !strings.HasPrefix(c.ID, want) {
+					t.Errorf("%s at %dc: claim %s, want prefix %s", name, cores, c.ID, want)
+				}
+			}
 		}
+	}
+	if len(ids) != 2*len(names)-1 { // fig7 has one ID at every size
+		t.Errorf("%d distinct figure IDs for %d names", len(ids), len(names))
+	}
+	if _, err := exp.FigurePlan("fig99", 16, quick); err == nil {
+		t.Error("FigurePlan(fig99): want error, got nil")
+	}
+	if _, err := exp.Reproduce("fig99", 16, quick); err == nil {
+		t.Error("Reproduce(fig99): want error, got nil")
 	}
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	f, err := Fig6(16, quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := reproduce(t, "fig6", quick)
 	var sb strings.Builder
 	f.Render(&sb)
 	out := sb.String()
@@ -79,10 +120,7 @@ func TestRenderAndCSV(t *testing.T) {
 }
 
 func TestGeoMean(t *testing.T) {
-	f, err := Fig4(16, quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := reproduce(t, "fig4", quick)
 	e, tr := f.GeoMeanVsMESI(machine.DeNovoSync)
 	if e < 0.3 || e > 3 {
 		t.Fatalf("implausible exec geomean %f", e)
@@ -96,47 +134,8 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestAblationsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation suite skipped in -short mode")
-	}
-	for name, fn := range map[string]func(int, Options) (*Figure, error){
-		"swbackoff": AblationSWBackoff,
-		"padding":   AblationPadding,
-		"eqchecks":  AblationEqChecks,
-		"hwparams":  AblationBackoffParams,
-	} {
-		f, err := fn(16, quick)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(f.Rows) == 0 {
-			t.Fatalf("%s: empty figure", name)
-		}
-	}
-}
-
-func TestFig7SmallScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig7 skipped in -short mode")
-	}
-	f, err := Fig7(Options{Scale: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 13*2 {
-		t.Fatalf("rows = %d, want 26", len(f.Rows))
-	}
-	if len(f.Workloads()) != 13 {
-		t.Fatalf("workloads = %d", len(f.Workloads()))
-	}
-}
-
 func TestRenderBars(t *testing.T) {
-	f, err := Fig4(16, quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := reproduce(t, "fig4", quick)
 	var sb strings.Builder
 	f.RenderBars(&sb)
 	out := sb.String()
@@ -155,10 +154,7 @@ func TestAblationInvalidateAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short mode")
 	}
-	f, err := AblationInvalidateAll(16, quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := reproduce(t, "invall", quick)
 	if len(f.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9", len(f.Rows))
 	}
@@ -187,13 +183,10 @@ func TestClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims need a real figure; skipped in -short mode")
 	}
-	f, err := Fig4(16, Options{Scale: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := reproduce(t, "fig4", exp.Options{Scale: 10})
 	var sb strings.Builder
-	pass, dev := CheckClaims(f, &sb)
-	if pass+dev != len(Fig4Claims(16)) {
+	pass, dev := harness.CheckClaims(f, &sb)
+	if pass+dev != len(harness.Fig4Claims(16)) {
 		t.Fatalf("claim count mismatch: %d+%d", pass, dev)
 	}
 	out := sb.String()
@@ -201,7 +194,7 @@ func TestClaims(t *testing.T) {
 		t.Fatalf("claims output missing IDs:\n%s", out)
 	}
 	// Ablation figures have no claims.
-	if cs := ClaimsFor(&Figure{ID: "Ablation: x"}); cs != nil {
+	if cs := harness.ClaimsFor(&harness.Figure{ID: "Ablation: x"}); cs != nil {
 		t.Fatal("ablation figure matched claims")
 	}
 }

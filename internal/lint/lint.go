@@ -52,8 +52,9 @@ func Names() []string {
 // each invariant protects: determinism and cycle hygiene guard the
 // simulator core (the machine/params layer legitimately reads wall time
 // for reports and centralizes latency numbers); thread discipline guards
-// code that runs *inside* the simulation. Orchestration layers above the
-// simulator — internal/exp, internal/harness, the commands — are
+// code that runs *inside* the simulation. The orchestration and
+// reporting layers above the simulator — internal/exp, internal/harness,
+// the commands — are
 // deliberately outside the determinism scope: wall-clock time (ETAs,
 // timeouts) and host parallelism are their job, and every simulation
 // they launch is still cycle-exact deterministic inside the boundary.
