@@ -87,11 +87,13 @@ race:
 	$(GO) test -race ./...
 
 # alloc runs the allocation-budget tests (engine schedule, network send,
-# L1 hits, the MESI and DeNovo miss paths) without the race detector: its
-# instrumentation allocates, so under `race` they skip.
+# L1 hits, the MESI and DeNovo miss paths) and the memory budgets (the
+# memory image's footprint per written line, the live heap a finished
+# paper-scale 16-core Herlihy stack run keeps) without the race
+# detector: its instrumentation allocates, so under `race` they skip.
 .PHONY: alloc
 alloc:
-	$(GO) test -count=1 -run 'Allocates?Nothing' ./internal/...
+	$(GO) test -count=1 -run 'Allocates?Nothing|StoreFootprint|RetainedHeap' ./internal/...
 
 # exp-smoke drives the kill-and-resume guarantee end to end through the
 # real CLI: interrupt a grid with -stop-after, verify the resumed
@@ -262,13 +264,14 @@ nightly-fuzz:
 	$(GO) run ./cmd/scenfuzz run -seed 1 -batches 24 -batch-size 32 -out scenfuzz.out
 
 # Short fuzzing passes over the engine's dispatch order, the paged
-# address table, the DeNovoSync backoff-counter and MSHR parking
-# properties, plus the scenario/trace decoder trust boundaries (seed
-# corpus always runs under `make test`).
+# address table, the memory image, the DeNovoSync backoff-counter and
+# MSHR parking properties, plus the scenario/trace decoder trust
+# boundaries (seed corpus always runs under `make test`).
 .PHONY: fuzz
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzPages -fuzztime 30s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzStore -fuzztime 30s
 	$(GO) test ./internal/denovo -fuzz FuzzBackoffCounterWrap -fuzztime 30s
 	$(GO) test ./internal/denovo -fuzz FuzzMSHRSyncParking -fuzztime 30s
 	$(GO) test ./internal/fuzz -fuzz FuzzScenarioDecode -fuzztime 30s

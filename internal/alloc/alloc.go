@@ -56,14 +56,48 @@ const (
 
 // lane is one thread's private bump arena: a first arena and, once that
 // is full, an overflow arena, then extension arenas. Each arena's region
-// table holds one entry per word from the arena's start up to the bump
+// table holds one tag per line from the arena's start up to the bump
 // pointer and grows with it; ovf stays nil until the lane overflows.
 type lane struct {
 	next    proto.Addr
 	limit   proto.Addr
-	regions []uint8 // per word of the first arena
-	ovf     []uint8 // per word of the overflow arena
-	ext     int     // 1 + the index of the extension arena in use; 0 = none
+	regions lineTags // of the first arena
+	ovf     lineTags // of the overflow arena
+	ext     int      // 1 + the index of the extension arena in use; 0 = none
+}
+
+// lineTags is a lane arena's region table, one tag per line. Every lane
+// allocation starts on a fresh line, so a line's words belong to at most
+// one allocation, from the line's first word on, and the rest are
+// padding: its tag is exact where a per-word table would spend a byte on
+// every word.
+type lineTags []lineTag
+
+// lineTag records that the first words words of a line belong to region;
+// the line's other words read region 0.
+type lineTag struct {
+	region, words uint8
+}
+
+// tag appends the tags of a words-word allocation that starts on the
+// line after the last one tagged.
+func (t lineTags) tag(words int, region proto.RegionID) lineTags {
+	checkRegion(region)
+	for ; words > 0; words -= proto.WordsPerLine {
+		t = append(t, lineTag{region: uint8(region), words: uint8(min(words, proto.WordsPerLine))})
+	}
+	return t
+}
+
+// regionAt returns the region of the word at byte offset off of the
+// arena; untagged lines and padding words have region 0.
+func (t lineTags) regionAt(off proto.Addr) proto.RegionID {
+	if i := off / proto.LineBytes; i < proto.Addr(len(t)) {
+		if tg := t[i]; off%proto.LineBytes/proto.WordBytes < proto.Addr(tg.words) {
+			return proto.RegionID(tg.region)
+		}
+	}
+	return 0
 }
 
 // laneStart and ovfStart locate lane id's two arenas, extStart extension
@@ -84,7 +118,7 @@ type Space struct {
 	lanes []*lane
 	// ext[i] is the region table of extension arena i, in the order the
 	// lanes took them.
-	ext [][]uint8
+	ext []lineTags
 }
 
 // New returns an empty space. Region 0 ("default") is pre-assigned to all
@@ -126,13 +160,19 @@ func (s *Space) Alloc(words int, region proto.RegionID) proto.Addr {
 	return a
 }
 
-// tag records region for the words [slot, slot+words) of a region table
-// that covers the words below slot, and returns the grown table. Words
-// skipped as padding get region 0.
-func tag(tab []uint8, slot proto.Addr, words int, region proto.RegionID) []uint8 {
+// checkRegion panics on a region ID a table cannot hold.
+func checkRegion(region proto.RegionID) {
 	if region < 0 || region >= proto.MaxRegions {
 		panic("alloc: region ID out of range")
 	}
+}
+
+// tag records region for the words [slot, slot+words) of the shared
+// space's per-word region table, which covers the words below slot, and
+// returns the grown table. Words skipped as padding get region 0.
+// Unaligned allocations share lines there, so the table is per word.
+func tag(tab []uint8, slot proto.Addr, words int, region proto.RegionID) []uint8 {
+	checkRegion(region)
 	for proto.Addr(len(tab)) < slot {
 		tab = append(tab, 0)
 	}
@@ -142,8 +182,8 @@ func tag(tab []uint8, slot proto.Addr, words int, region proto.RegionID) []uint8
 	return tab
 }
 
-// regionAt reads a region table, in which words past the end have
-// region 0.
+// regionAt reads the shared space's region table, in which words past
+// the end have region 0.
 func regionAt(tab []uint8, slot proto.Addr) proto.RegionID {
 	if slot < proto.Addr(len(tab)) {
 		return proto.RegionID(tab[slot])
@@ -199,13 +239,13 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 		// next free extension arena.
 		start, stride := ovfStart(laneID), ovfStride
 		if ln.ovf == nil {
-			ln.ovf = []uint8{}
+			ln.ovf = lineTags{}
 		} else {
 			start, stride = extStart(len(s.ext)), extStride
 			if start+stride > extEnd {
 				panic("alloc: lane arenas exhausted the address space below 2^32")
 			}
-			s.ext = append(s.ext, []uint8{})
+			s.ext = append(s.ext, nil)
 			ln.ext = len(s.ext)
 		}
 		ln.next, ln.limit = start, start+stride
@@ -217,12 +257,11 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 	}
 	switch {
 	case ln.ext > 0:
-		i := ln.ext - 1
-		s.ext[i] = tag(s.ext[i], (a-extStart(i))/proto.WordBytes, words, region)
+		s.ext[ln.ext-1] = s.ext[ln.ext-1].tag(words, region)
 	case ln.ovf != nil:
-		ln.ovf = tag(ln.ovf, (a-ovfStart(laneID))/proto.WordBytes, words, region)
+		ln.ovf = ln.ovf.tag(words, region)
 	default:
-		ln.regions = tag(ln.regions, (a-laneStart(laneID))/proto.WordBytes, words, region)
+		ln.regions = ln.regions.tag(words, region)
 	}
 	return a
 }
@@ -234,18 +273,18 @@ func (s *Space) RegionOf(a proto.Addr) proto.RegionID {
 	case w >= ovfBase:
 		if w >= extBase {
 			if i := (w - extBase) / extStride; i < proto.Addr(len(s.ext)) {
-				return regionAt(s.ext[i], (w-extStart(int(i)))/proto.WordBytes)
+				return s.ext[i].regionAt(w - extStart(int(i)))
 			}
 			return 0
 		}
 		li := (w - ovfBase) / ovfStride
 		if li < proto.Addr(len(s.lanes)) && s.lanes[li] != nil {
-			return regionAt(s.lanes[li].ovf, (w-ovfStart(int(li)))/proto.WordBytes)
+			return s.lanes[li].ovf.regionAt(w - ovfStart(int(li)))
 		}
 	case w >= laneBase:
 		li := (w - laneBase) / laneStride
 		if li < proto.Addr(len(s.lanes)) && s.lanes[li] != nil {
-			return regionAt(s.lanes[li].regions, (w-laneStart(int(li)))/proto.WordBytes)
+			return s.lanes[li].regions.regionAt(w - laneStart(int(li)))
 		}
 	case w >= base:
 		return regionAt(s.regions, (w-base)/proto.WordBytes)

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,7 +181,7 @@ func TestLaneOverflowExhausted(t *testing.T) {
 		t.Fatalf("allocation past the overflow arena at %#x, want the first extension arena %#x", uint64(a), uint64(extBase))
 	}
 	// Pretend every extension arena but the last is taken.
-	s.ext = make([][]uint8, int((extEnd-extBase)/extStride)-1)
+	s.ext = make([]lineTags, int((extEnd-extBase)/extStride)-1)
 	s.LaneAllocAligned(6, int(ovfStride/proto.WordBytes), 0)         // fills lane 6's overflow arena
 	last := s.LaneAllocAligned(6, int(extStride/proto.WordBytes), 0) // and the last extension arena
 	if last != extEnd-extStride {
@@ -300,5 +301,68 @@ func TestRegionOfAllocatesNothing(t *testing.T) {
 	}
 	if sum == 0 {
 		t.Fatal("no address resolved to its region")
+	}
+}
+
+// TestLaneRegionTags: a lane arena's line tags resolve every word
+// exactly as a per-word table would. Seeded random lane allocations of
+// 1-40 words, on several lanes and regions, run through the first and
+// overflow arenas into extension arenas; for every word up to each
+// arena's bump pointer, and the padding words of its last line,
+// RegionOf must equal a per-word reference table built alongside.
+func TestLaneRegionTags(t *testing.T) {
+	s := New()
+	regions := []proto.RegionID{0, s.Region("a"), s.Region("b"), s.Region("c"), s.Region("d")}
+	lanes := []int{0, 7, maxLanes - 1}
+	rng := rand.New(rand.NewSource(1))
+	// arenaOf returns the first address of the arena holding a.
+	arenaOf := func(a proto.Addr) proto.Addr {
+		switch {
+		case a >= extBase:
+			return a - (a-extBase)%extStride
+		case a >= ovfBase:
+			return a - (a-ovfBase)%ovfStride
+		}
+		return a - (a-laneBase)%laneStride
+	}
+	ref := map[proto.Addr][]proto.RegionID{} // by arena: per word, up to the bump pointer
+	for done := false; !done; {
+		done = true
+		for _, id := range lanes {
+			words, region := 1+rng.Intn(40), regions[rng.Intn(len(regions))]
+			a := s.LaneAllocAligned(id, words, region)
+			arena := arenaOf(a)
+			tab := ref[arena]
+			for proto.Addr(len(tab)) < (a-arena)/proto.WordBytes {
+				tab = append(tab, 0)
+			}
+			for i := 0; i < words; i++ {
+				tab = append(tab, region)
+			}
+			ref[arena] = tab
+			if ln := s.lanes[id]; ln.ext == 0 || ln.next-extStart(ln.ext-1) < laneStride {
+				done = false // run each lane 1 MiB into an extension arena
+			}
+		}
+	}
+	if len(s.ext) < len(lanes) {
+		t.Fatalf("%d extension arenas taken, want one per lane at least", len(s.ext))
+	}
+	checked := 0
+	for arena, tab := range ref {
+		end := len(tab) + (proto.WordsPerLine-len(tab)%proto.WordsPerLine)%proto.WordsPerLine
+		for i := 0; i < end; i++ {
+			want := proto.RegionID(0)
+			if i < len(tab) {
+				want = tab[i]
+			}
+			if got := s.RegionOf(arena + proto.Addr(i*proto.WordBytes)); got != want {
+				t.Fatalf("RegionOf(%#x) = %d, want %d", uint64(arena)+uint64(i*proto.WordBytes), got, want)
+			}
+			checked++
+		}
+	}
+	if want := len(lanes) * int(ovfStride+laneStride) / proto.WordBytes; checked < want {
+		t.Fatalf("checked %d words, want at least %d", checked, want)
 	}
 }

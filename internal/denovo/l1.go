@@ -183,11 +183,10 @@ func (c *L1) allocTxn(word proto.Addr, kind proto.AccessKind, isReg bool, region
 }
 
 // freeTxn returns a completed transaction to the free list, keeping its
-// list storage and dropping what the lists referenced.
+// list storage. The lists are truncated, not cleared: what they
+// reference (bound continuations, L1s, requests' continuations) lives as
+// long as the machine, as in a freed proto.Inbox slot.
 func (c *L1) freeTxn(t *wtxn) {
-	clear(t.waiters)
-	clear(t.onAck)
-	clear(t.parked)
 	t.waiters, t.onAck, t.parked = t.waiters[:0], t.onAck[:0], t.parked[:0]
 	c.txnFree = append(c.txnFree, t)
 }

@@ -18,46 +18,74 @@ import (
 // tile's L2 bank reads and commits through it, and writes happen only at
 // protocol commit points.
 //
-// The image is a proto.Pages table: a page holds the values of
-// proto.PageBytes of simulated memory, and a page that was never written
-// reads as zeros.
+// The image keeps only the lines a run writes. It is a proto.Pages table
+// whose pages hold proto.LinesPerPage pointers to lines of word values; a
+// line is taken from a slab of slabLines lines on its first non-zero
+// write. Writing a zero to a line never written allocates nothing, and a
+// line or page never written reads as zeros. The allocator never reuses
+// an address, so a run writes a few lines spread over many pages: a page
+// of values would hold mostly zeros.
 type Store struct {
 	pages proto.Pages[page]
+	slab  []line // lines not yet handed out, taken from the front
 }
 
-// page holds the values of proto.PageBytes of simulated memory.
-type page [proto.PageBytes / proto.WordBytes]uint64
+// line holds the values of the words of one simulated cache line.
+type line = [proto.WordsPerLine]uint64
+
+// page points at the written lines of proto.PageBytes of simulated memory.
+type page [proto.LinesPerPage]*line
+
+// slabLines is the number of lines allocated at once.
+const slabLines = 64
+
+// zeroLine is what ReadLine returns for a line never written.
+var zeroLine line
 
 // NewStore returns an empty (all-zero) memory image.
 func NewStore() *Store { return &Store{} }
 
-// wordIndex is the index of word-aligned address w in its page.
-func wordIndex(w proto.Addr) proto.Addr { return w % proto.PageBytes / proto.WordBytes }
+// lineOf returns the line holding addr, or nil if it was never written.
+func (s *Store) lineOf(addr proto.Addr) *line {
+	if p := s.pages.Get(addr); p != nil {
+		return p[addr.PageLine()]
+	}
+	return nil
+}
 
 // Read returns the committed value of the word containing addr.
 func (s *Store) Read(addr proto.Addr) uint64 {
-	w := addr.Word()
-	if p := s.pages.Get(w); p != nil {
-		return p[wordIndex(w)]
+	if l := s.lineOf(addr); l != nil {
+		return l[addr.WordIndex()]
 	}
 	return 0
 }
 
 // Write commits value to the word containing addr.
 func (s *Store) Write(addr proto.Addr, value uint64) {
-	w := addr.Word()
-	s.pages.Page(w)[wordIndex(w)] = value
+	l := s.lineOf(addr)
+	if l == nil {
+		if value == 0 {
+			return // the absent line reads zero already
+		}
+		if len(s.slab) == 0 {
+			s.slab = make([]line, slabLines)
+		}
+		l, s.slab = &s.slab[0], s.slab[1:]
+		s.pages.Page(addr)[addr.PageLine()] = l
+	}
+	l[addr.WordIndex()] = value
 }
 
-// ReadLine returns the committed values of all words in addr's line.
-func (s *Store) ReadLine(addr proto.Addr) [proto.WordsPerLine]uint64 {
-	line := addr.Line()
-	p := s.pages.Get(line)
-	if p == nil {
-		return [proto.WordsPerLine]uint64{}
+// ReadLine returns the committed values of all words in addr's line: the
+// stored line itself, or a shared zero line if it was never written, so
+// a caller copies the values once, straight into its own line. The
+// result is read-only, and a copy taken before the next Write is exact.
+func (s *Store) ReadLine(addr proto.Addr) *[proto.WordsPerLine]uint64 {
+	if l := s.lineOf(addr); l != nil {
+		return l
 	}
-	i := wordIndex(line)
-	return [proto.WordsPerLine]uint64(p[i : i+proto.WordsPerLine])
+	return &zeroLine
 }
 
 // DRAM models the off-chip memory behind the four on-chip controllers.

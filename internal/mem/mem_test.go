@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 
 	"denovosync/internal/noc"
@@ -126,4 +127,121 @@ func TestDRAMControllerInterleave(t *testing.T) {
 	if len(seen) != noc.NumMemCtrl {
 		t.Fatalf("lines map to %d controllers, want %d", len(seen), noc.NumMemCtrl)
 	}
+}
+
+// TestStoreFootprint: the image grows with the lines a run writes, not
+// the pages it touches. One non-zero word per KiB over 4 MiB holds 4,096
+// lines, the 1,024 pointer pages and one block table above them, and at
+// most one slab of lines more; zeros written to lines and pages never
+// written hold nothing. A table of whole 8 KiB pages would hold 8 MiB.
+func TestStoreFootprint(t *testing.T) {
+	const span, stride = 4 << 20, 1 << 10
+	s := NewStore()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for a := proto.Addr(0); a < span; a += stride {
+		s.Write(a, 1)
+		s.Write(a+proto.LineBytes, 0) // a line never written
+		s.Write(span+a, 0)            // a page never written
+	}
+	runtime.ReadMemStats(&after)
+	const (
+		lines     = span / stride
+		pages     = span / proto.PageBytes
+		lineBytes = proto.WordsPerLine * 8 // a line of word values
+		ptrPage   = proto.LinesPerPage * 8 // a page of line pointers
+		ptrBlock  = 1 << 10 * 8            // a 4 MiB block's page pointers
+		budget    = lines*lineBytes + pages*ptrPage + ptrBlock + slabLines*lineBytes
+	)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("%d non-zero words on %d pages took %d bytes, want at most %d", lines, pages, got, budget)
+	}
+	for a := proto.Addr(0); a < 2*span; a += stride {
+		want := uint64(0)
+		if a < span {
+			want = 1
+		}
+		if got := s.Read(a); got != want {
+			t.Fatalf("Read(%v) = %d, want %d", a, got, want)
+		}
+	}
+}
+
+// storeOpBytes is the size of one encoded FuzzStore operation.
+const storeOpBytes = 4
+
+// storeSpans are the 8 KiB windows FuzzStore addresses: each straddles a
+// page boundary, the second a 4 MiB block boundary and the third
+// DenseLimit (4 GiB), where the image's table changes from dense to
+// sparse; the fourth lies far above it.
+var storeSpans = [4]proto.Addr{
+	0x1_0000 - proto.PageBytes,
+	1<<28 - proto.PageBytes,
+	proto.DenseLimit - proto.PageBytes,
+	1<<40 - proto.PageBytes,
+}
+
+// checkStore runs an encoded program of Write, Read and ReadLine
+// operations against a Store and a map model of the words written, and
+// fails on any difference. b[0]'s low two bits pick the operation (two
+// of the four codes write), its next two the span; b[1] and b[2] the
+// byte offset in the span, b[3] the value written (zero when b[3] is
+// zero). At the end every word written must read back, and the image
+// must hold exactly the lines that were ever written a non-zero value.
+func checkStore(t *testing.T, prog []byte) {
+	s := NewStore()
+	model := map[proto.Addr]uint64{}
+	written := map[proto.Addr]bool{} // lines written a non-zero value
+	for ; len(prog) >= storeOpBytes; prog = prog[storeOpBytes:] {
+		a := storeSpans[prog[0]>>2&3] + proto.Addr(prog[1]) + proto.Addr(prog[2]&0x1f)<<8
+		switch prog[0] & 3 {
+		case 0, 3:
+			v := uint64(prog[3]) * (1<<56 + 1)
+			s.Write(a, v)
+			model[a.Word()] = v
+			if v != 0 {
+				written[a.Line()] = true
+			}
+		case 1:
+			if got, want := s.Read(a), model[a.Word()]; got != want {
+				t.Fatalf("Read(%v) = %#x, want %#x", a, got, want)
+			}
+		case 2:
+			vals := s.ReadLine(a)
+			for i, got := range vals {
+				w := a.Line() + proto.Addr(i*proto.WordBytes)
+				if want := model[w]; got != want {
+					t.Fatalf("ReadLine(%v)[%d] = %#x, want %#x", a, i, got, want)
+				}
+			}
+		}
+	}
+	for w, want := range model {
+		if got := s.Read(w); got != want {
+			t.Fatalf("Read(%v) = %#x at the end, want %#x", w, got, want)
+		}
+	}
+	held := 0
+	s.pages.Walk(func(base proto.Addr, p *page) {
+		for i, l := range p {
+			if l != nil {
+				held++
+				if a := base + proto.Addr(i*proto.LineBytes); !written[a] {
+					t.Fatalf("the image holds line %v, which was never written a non-zero value", a)
+				}
+			}
+		}
+	})
+	if held != len(written) {
+		t.Fatalf("the image holds %d lines, want the %d written a non-zero value", held, len(written))
+	}
+	if zeroLine != (line{}) {
+		t.Fatalf("the shared zero line was written: %v", zeroLine)
+	}
+}
+
+// FuzzStore checks Store against a map model; the checked-in corpus
+// under testdata/fuzz/FuzzStore runs as seeds with every go test.
+func FuzzStore(f *testing.F) {
+	f.Fuzz(checkStore)
 }

@@ -213,9 +213,10 @@ func (c *L1) allocTxn(line proto.Addr, wantM bool) *txn {
 }
 
 // freeTxn returns a completed transaction to the free list, keeping its
-// waiter storage and dropping what the waiters referenced.
+// waiter storage. The list is truncated, not cleared: what it references
+// (bound continuations, requests' continuations) lives as long as the
+// machine, as in a freed proto.Inbox slot.
 func (c *L1) freeTxn(t *txn) {
-	clear(t.waiters)
 	t.waiters = t.waiters[:0]
 	c.txnFree = append(c.txnFree, t)
 }
@@ -517,8 +518,7 @@ func (c *L1) maybeComplete(t *txn) {
 		}
 	}
 	v.LineState = st
-	vals := c.cfg.Store.ReadLine(t.line)
-	v.Values = vals
+	v.Values = *c.cfg.Store.ReadLine(t.line)
 	v.Grant = t.epoch // meaningful only while the line is E or M
 
 	// Reopen the directory (ownership-transfer transactions only), then
