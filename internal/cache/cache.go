@@ -29,8 +29,7 @@ type Line struct {
 	WordState [proto.WordsPerLine]WordState
 	Values    [proto.WordsPerLine]uint64
 	// Regions holds each word's proto.RegionID. Region IDs are below
-	// proto.MaxRegions (64), so a byte holds one, and a cache's lines,
-	// which every machine build allocates and zeroes, stay small.
+	// proto.MaxRegions (64), so a byte holds one, and a line stays small.
 	Regions [proto.WordsPerLine]uint8
 	// Grant is a protocol-owned stamp of the transaction that installed
 	// the line: MESI keeps the directory epoch of an E/M line's exclusive
@@ -50,17 +49,26 @@ func (l *Line) ClearWords() {
 
 // Cache is a set-associative cache. It only manages placement and
 // replacement; the protocol controller owns the meaning of states.
+//
+// A way gets its Line when Victim first returns it empty, from a slab
+// of slabLines, and keeps it for the life of the cache: most runs fill
+// a small share of their L1s' ways, so a machine build allocates only
+// the tag and pointer arrays, and a warm cache allocates nothing.
 type Cache struct {
 	sets  int
 	ways  int
-	lines []Line // sets*ways, set-major
+	lines []*Line // sets*ways, set-major; nil until the way's first fill
 
 	// tags[i] is lines[i].Addr while that line is present, else noTag:
 	// Lookup scans one set's tags without touching the lines.
 	tags  []proto.Addr
-	n     int // present lines
+	slab  []Line // lines not yet given to a way
+	n     int    // present lines
 	clock uint64
 }
+
+// slabLines is how many lines a cache allocates at once.
+const slabLines = 16
 
 // noTag marks an empty way. It is not line-aligned, so no line's
 // address equals it.
@@ -77,7 +85,7 @@ func New(sizeBytes, ways int) *Cache {
 	if sets&(sets-1) != 0 {
 		panic("cache: set count not a power of two")
 	}
-	c := &Cache{sets: sets, ways: ways, lines: make([]Line, lines), tags: make([]proto.Addr, lines)}
+	c := &Cache{sets: sets, ways: ways, lines: make([]*Line, lines), tags: make([]proto.Addr, lines)}
 	for i := range c.tags {
 		c.tags[i] = noTag
 	}
@@ -99,7 +107,7 @@ func (c *Cache) Lookup(addr proto.Addr) *Line {
 	first := c.setOf(line) * c.ways
 	for i, tag := range c.tags[first : first+c.ways] {
 		if tag == line {
-			return &c.lines[first+i]
+			return c.lines[first+i]
 		}
 	}
 	return nil
@@ -110,7 +118,7 @@ func (c *Cache) Lookup(addr proto.Addr) *Line {
 func (c *Cache) slot(l *Line, addr proto.Addr) int {
 	first := c.setOf(addr.Line()) * c.ways
 	for i := first; i < first+c.ways; i++ {
-		if &c.lines[i] == l {
+		if c.lines[i] == l {
 			return i
 		}
 	}
@@ -131,15 +139,26 @@ func (c *Cache) Victim(addr proto.Addr) *Line {
 	first := c.setOf(addr.Line()) * c.ways
 	var victim *Line
 	for i, tag := range c.tags[first : first+c.ways] {
-		l := &c.lines[first+i]
 		if tag == noTag {
-			return l
+			return c.way(first + i)
 		}
-		if victim == nil || l.lru < victim.lru {
+		if l := c.lines[first+i]; victim == nil || l.lru < victim.lru {
 			victim = l
 		}
 	}
 	return victim
+}
+
+// way returns the line of way i (an index into lines), giving the way
+// one from the slab on its first fill.
+func (c *Cache) way(i int) *Line {
+	if c.lines[i] == nil {
+		if len(c.slab) == 0 {
+			c.slab = make([]Line, slabLines)
+		}
+		c.lines[i], c.slab = &c.slab[0], c.slab[1:]
+	}
+	return c.lines[i]
 }
 
 // Install claims l for addr's line, clearing all word metadata and
@@ -176,7 +195,7 @@ func (c *Cache) Evict(l *Line) {
 func (c *Cache) ForEach(fn func(*Line)) {
 	for i, tag := range c.tags {
 		if tag != noTag {
-			fn(&c.lines[i])
+			fn(c.lines[i])
 		}
 	}
 }

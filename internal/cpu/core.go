@@ -56,7 +56,7 @@ func (p Phase) String() string {
 type stepKind uint8
 
 const (
-	stepDelay      stepKind = iota // Compute/SWBackoff: advance n cycles
+	stepDelay      stepKind = iota // Compute/SWBackoff: advance value cycles
 	stepPhase                      // SetPhase
 	stepAccess                     // Load/Store/SyncLoad/SyncStore/RMW
 	stepFence                      // wait for outstanding stores to drain
@@ -68,17 +68,21 @@ const (
 )
 
 // step is one thread operation, queued by the thread and interpreted by
-// the core on the engine goroutine.
+// the core on the engine goroutine. A thread copies each step it queues,
+// so a step is kept to 48 bytes, which copy without runtime.duffcopy: its
+// enums are bytes, and one value word carries whatever the kind needs
+// besides an address and an RMW's operands.
 type step struct {
 	kind  stepKind
-	acc   proto.AccessKind    // stepAccess, stepSpin
-	comp  stats.TimeComponent // stepDelay
-	phase Phase               // stepPhase
-	n     sim.Cycle           // stepDelay
+	acc   uint8       // proto.AccessKind: stepAccess, stepSpin
+	comp  uint8       // stats.TimeComponent: stepDelay
+	phase uint8       // Phase: stepPhase
+	rmw   proto.RMWOp // stepAccess of a SyncRMW
 	addr  proto.Addr
-	value uint64            // store value (stepAccess), sampled epoch (stepWait)
-	set   proto.RegionSet   // stepSelfInv
-	rmw   proto.RMWOp       // stepAccess of a SyncRMW
+	// value is the store value (stepAccess), the sampled epoch
+	// (stepWait), the cycle count (stepDelay) or the proto.RegionSet
+	// (stepSelfInv).
+	value uint64
 	args  [2]uint64         // rmw's operands
 	pred  func(uint64) bool // stepSpin
 }
@@ -218,12 +222,12 @@ func (c *Core) run(v uint64) {
 	s := &c.batch[c.pc]
 	switch s.kind {
 	case stepDelay:
-		c.eng.Schedule(s.n, c.finishFn)
+		c.eng.Schedule(sim.Cycle(s.value), c.finishFn)
 	case stepPhase:
 		c.eng.Schedule(0, c.finishFn)
 	case stepAccess:
 		c.start, c.b0 = c.eng.Now(), c.l1.BackoffStallCycles()
-		if s.acc.IsSync() {
+		if proto.AccessKind(s.acc).IsSync() {
 			// Sync accesses first drain outstanding stores (fence
 			// semantics of the data-race-free model).
 			c.l1.OnWritesDrained(c.issueFn)
@@ -234,7 +238,7 @@ func (c *Core) run(v uint64) {
 		c.start = c.eng.Now()
 		c.l1.OnWritesDrained(c.finishFn)
 	case stepSelfInv:
-		c.l1.SelfInvalidate(s.set)
+		c.l1.SelfInvalidate(proto.RegionSet(s.value))
 		c.eng.Schedule(1, c.finishFn)
 	case stepSigAcquire:
 		c.l1.SignatureAcquire(s.addr)
@@ -267,7 +271,7 @@ func (c *Core) next(v uint64) {
 func (c *Core) issue() {
 	s := &c.batch[c.pc]
 	c.l1.Access(proto.Request{
-		Kind:   s.acc,
+		Kind:   proto.AccessKind(s.acc),
 		Addr:   s.addr,
 		Value:  s.value,
 		RMW:    s.rmw,
@@ -306,9 +310,9 @@ func (c *Core) finish() {
 	s := &c.batch[c.pc]
 	switch s.kind {
 	case stepDelay:
-		c.charge(s.comp, s.n)
+		c.charge(stats.TimeComponent(s.comp), sim.Cycle(s.value))
 	case stepPhase:
-		c.phase = s.phase
+		c.phase = Phase(s.phase)
 	case stepFence:
 		c.charge(stats.MemStall, c.eng.Now()-c.start)
 	case stepSelfInv, stepSigAcquire, stepSigRelease:

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"denovosync/internal/proto"
 	"denovosync/internal/sim"
@@ -246,5 +247,13 @@ func TestBatchedOpsRetireAndCharge(t *testing.T) {
 	}
 	if core.Retired() != 6 {
 		t.Fatalf("retired = %d, want 6 (time steps do not retire)", core.Retired())
+	}
+}
+
+// TestStepSize pins a step at 48 bytes: a thread appends every operation
+// to its batch by value, so a larger step is a larger copy per operation.
+func TestStepSize(t *testing.T) {
+	if size := unsafe.Sizeof(step{}); size > 48 {
+		t.Fatalf("a step is %d bytes, want at most 48", size)
 	}
 }

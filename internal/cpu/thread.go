@@ -124,7 +124,7 @@ func (t *Thread) Now() sim.Cycle {
 }
 
 func accessStep(kind proto.AccessKind, addr proto.Addr, value uint64) step {
-	return step{kind: stepAccess, acc: kind, addr: addr, value: value}
+	return step{kind: stepAccess, acc: uint8(kind), addr: addr, value: value}
 }
 
 // Load performs a blocking data load.
@@ -157,7 +157,7 @@ func (t *Thread) SyncStore(addr proto.Addr, value uint64) {
 // The operation and its operands are values in the step, so an RMW
 // allocates nothing.
 func (t *Thread) rmw(addr proto.Addr, op proto.RMWOp, a, b uint64) uint64 {
-	return t.call(step{kind: stepAccess, acc: proto.SyncRMW, addr: addr, rmw: op, args: [2]uint64{a, b}})
+	return t.call(step{kind: stepAccess, acc: uint8(proto.SyncRMW), addr: addr, rmw: op, args: [2]uint64{a, b}})
 }
 
 // CAS atomically compares-and-swaps, reporting success.
@@ -192,7 +192,7 @@ func (t *Thread) Compute(n sim.Cycle) {
 	if n == 0 {
 		return
 	}
-	t.queue(step{kind: stepDelay, comp: stats.Compute, n: n})
+	t.queue(step{kind: stepDelay, comp: uint8(stats.Compute), value: uint64(n)})
 }
 
 // SWBackoff stalls n cycles of software backoff (plotted separately).
@@ -201,14 +201,14 @@ func (t *Thread) SWBackoff(n sim.Cycle) {
 	if n == 0 {
 		return
 	}
-	t.queue(step{kind: stepDelay, comp: stats.SWBackoff, n: n})
+	t.queue(step{kind: stepDelay, comp: uint8(stats.SWBackoff), value: uint64(n)})
 }
 
 // SelfInvalidate drops cached Valid words of the given regions (DeNovo's
 // region-based static self-invalidation; a no-op on MESI). Costs one
 // instruction cycle. Batched.
 func (t *Thread) SelfInvalidate(set proto.RegionSet) {
-	t.queue(step{kind: stepSelfInv, set: set})
+	t.queue(step{kind: stepSelfInv, value: uint64(set)})
 }
 
 // AcquireSignature self-invalidates cached stale data matching the
@@ -237,7 +237,7 @@ func (t *Thread) Fence() {
 // Batched: the switch takes effect, in program order, in a zero-delay
 // event.
 func (t *Thread) SetPhase(p Phase) {
-	t.queue(step{kind: stepPhase, phase: p})
+	t.queue(step{kind: stepPhase, phase: uint8(p)})
 }
 
 // Epoch samples addr for a spin, after flushing, and returns the
@@ -282,5 +282,5 @@ func (t *Thread) SpinSyncLoadUntil(addr proto.Addr, pred func(uint64) bool) uint
 			t.WaitDisturb(addr, e)
 		}
 	}
-	return t.call(step{kind: stepSpin, acc: proto.SyncLoad, addr: addr, pred: pred})
+	return t.call(step{kind: stepSpin, acc: uint8(proto.SyncLoad), addr: addr, pred: pred})
 }
