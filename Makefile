@@ -6,7 +6,7 @@ GO ?= go
 all: check
 
 .PHONY: check
-check: vet lint build race alloc golden claims atlas-check liveness-check fuzz-smoke fabric-smoke
+check: vet lint build race alloc golden claims atlas-check liveness-check fuzz-smoke exp-smoke
 
 # vet also fails when any Go file is not gofmt-clean.
 .PHONY: vet
@@ -97,9 +97,12 @@ alloc:
 	$(GO) test -count=1 -run 'Allocates?Nothing|StoreFootprint|BuildFootprint|RetainedHeap' ./internal/...
 
 # exp-smoke drives the kill-and-resume guarantee end to end through the
-# real CLI: interrupt a grid with -stop-after, verify the resumed
-# session re-executes only the missing runs, and check the merged CSV is
-# byte-identical to an uninterrupted single-worker run.
+# real CLI (run inside `make check`): interrupt a grid with -stop-after,
+# verify the resumed session re-executes only the missing runs, and check
+# the merged CSV is byte-identical to an uninterrupted single-worker run.
+# Then the same grid as two shards, as two hosts would run it: shard 0/2
+# interrupted and resumed, shard 1/2, status and merge over both
+# journals, and the same byte-identity check.
 .PHONY: exp-smoke
 exp-smoke:
 	rm -rf /tmp/denovosync-exp-smoke && mkdir -p /tmp/denovosync-exp-smoke
@@ -115,7 +118,19 @@ exp-smoke:
 	/tmp/denovosync-exp-smoke/exp run -fig fig3 -cores 16 -scale 25 -workers 1 -quiet \
 		-journal /tmp/denovosync-exp-smoke/full.jsonl -csv /tmp/denovosync-exp-smoke/full.csv
 	cmp /tmp/denovosync-exp-smoke/resumed.csv /tmp/denovosync-exp-smoke/full.csv
-	@echo "exp-smoke: resumed CSV is byte-identical to the uninterrupted run"
+	/tmp/denovosync-exp-smoke/exp run -fig fig3 -cores 16 -scale 25 -shard 0/2 \
+		-journal /tmp/denovosync-exp-smoke/shard0.jsonl -stop-after 2
+	/tmp/denovosync-exp-smoke/exp run -fig fig3 -cores 16 -scale 25 -shard 0/2 \
+		-journal /tmp/denovosync-exp-smoke/shard0.jsonl
+	/tmp/denovosync-exp-smoke/exp run -fig fig3 -cores 16 -scale 25 -shard 1/2 \
+		-journal /tmp/denovosync-exp-smoke/shard1.jsonl
+	/tmp/denovosync-exp-smoke/exp status -fig fig3 -cores 16 -scale 25 \
+		-journal /tmp/denovosync-exp-smoke/shard0.jsonl -journal /tmp/denovosync-exp-smoke/shard1.jsonl
+	/tmp/denovosync-exp-smoke/exp merge -fig fig3 -cores 16 -scale 25 \
+		-journal /tmp/denovosync-exp-smoke/shard0.jsonl -journal /tmp/denovosync-exp-smoke/shard1.jsonl \
+		-o /tmp/denovosync-exp-smoke/sharded.csv
+	cmp /tmp/denovosync-exp-smoke/sharded.csv /tmp/denovosync-exp-smoke/full.csv
+	@echo "exp-smoke: resumed and sharded CSVs are byte-identical to the uninterrupted run"
 
 # chaos-smoke drives the chaos engine end to end through the real CLI:
 # a small seed grid across all four protocol configs (every run is
@@ -158,7 +173,7 @@ golden:
 .PHONY: golden-update
 golden-update:
 	$(GO) test ./internal/harness -run TestGoldenFigures -count=1 -update
-	$(GO) test ./internal/machine -run TestDeterminismGolden -count=1 -update
+	$(GO) test ./internal/machine -run 'TestDeterminismGolden|TestDifferentialBattery' -count=1 -update
 	rm -rf /tmp/denovosync-golden-update && mkdir -p /tmp/denovosync-golden-update
 	$(GO) run ./cmd/paperbench -csv /tmp/denovosync-golden-update/results.csv > /dev/null
 	cp /tmp/denovosync-golden-update/results.csv results.csv
@@ -244,18 +259,6 @@ scenfuzz-smoke:
 	diff -r /tmp/denovosync-scenfuzz-smoke/killed/corpus /tmp/denovosync-scenfuzz-smoke/full/corpus
 	diff -r /tmp/denovosync-scenfuzz-smoke/killed/findings /tmp/denovosync-scenfuzz-smoke/full/findings
 	@echo "scenfuzz-smoke: killed-and-resumed campaign outputs are byte-identical to the uninterrupted run"
-
-# fabric-smoke is the seconds-scale gate over the distributed experiment
-# fabric (run inside `make check`): a real grid served over loopback
-# HTTP to two workers, with a worker killed mid-grid (journaled locally,
-# nothing handed off) and restarted, an injected dropped + duplicated
-# completion, and a coordinator restart from its journal — the merged
-# figure CSV must be byte-identical to a serial single-machine run, with
-# zero determinism findings. The in-package fault battery (lease expiry,
-# partitioned workers, conflict escalation) runs under `make race`.
-.PHONY: fabric-smoke
-fabric-smoke:
-	$(GO) run ./cmd/fabric smoke
 
 # nightly-fuzz is the scheduled long-budget campaign (also runnable
 # locally): seeds from the checked-in corpus, writes accepted candidates

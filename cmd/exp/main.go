@@ -13,16 +13,23 @@
 //	exp run  -fig fig3 -cores 16 -journal f3.jsonl
 //	exp run  -manifest grid.json -journal g.jsonl -workers 8 -retries 1
 //	exp run  ... -stop-after 5                   # deterministic interrupt
+//	exp run  -fig fig3 -journal s0.jsonl -shard 0/2   # one host's slice
 //	exp status -fig fig3 -cores 16 -journal f3.jsonl
+//	exp status -fig fig3 -journal s0.jsonl -journal s1.jsonl  # a sharded grid
 //	exp merge  -fig fig3 -cores 16 -journal f3.jsonl -o fig3.csv
-//	exp merge  -fig fig3 -journal c.jsonl -journal w1.jsonl  # reconcile N journals
+//	exp merge  -fig fig3 -journal s0.jsonl -journal s1.jsonl  # reconcile N journals
 //	exp salvage -journal damaged.jsonl -o repaired.jsonl     # repair a journal
 //
-// merge accepts -journal repeatedly and reconciles the journals by
+// run -shard k/n runs only slice k of n of the grid (exp.Plan.Shard), so
+// n hosts can split one grid, each with its own journal. status and merge
+// accept -journal repeatedly and reconcile the journals by
 // content-addressed run key (identical duplicates dedup, successes
 // supersede failures); two different results for one key are a
-// determinism bug and fail the merge loudly. -salvage recovers what it
-// can from damaged journals instead of refusing them.
+// determinism bug that status reports and merge refuses. -salvage
+// recovers what it can from damaged journals instead of refusing them.
+//
+// A bad grid selection or flag value is a usage error: exp prints it with
+// the subcommand's flags and exits 2 before it opens any journal.
 //
 // During run, the first ^C stops dispatching new runs and exits 130
 // once in-flight runs are journaled (resume by re-running); a second ^C
@@ -38,6 +45,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -77,7 +85,7 @@ func usage() {
   list    print the plannable figure/ablation names
   plan    expand a grid and print it (keys, runs)
   run     execute a grid's pending runs (resumable via -journal)
-  status  compare a journal against a plan
+  status  compare one or more journals against a plan
   merge   reconcile one or more journals and render the figure CSV
   salvage repair a damaged journal (recover good lines, quarantine bad)
 
@@ -94,46 +102,70 @@ Run 'exp <subcommand> -h' for subcommand flags.
 // planFlags registers the grid-selection flags shared by every
 // plan-consuming subcommand.
 type planFlags struct {
+	fs       *flag.FlagSet
 	manifest string
 	fig      string
 	cores    int
 	scale    int
 }
 
-func (p *planFlags) register(fs *flag.FlagSet) {
+func newPlanFlags(fs *flag.FlagSet) *planFlags {
+	p := &planFlags{fs: fs}
 	fs.StringVar(&p.manifest, "manifest", "", "grid manifest file (JSON)")
 	fs.StringVar(&p.fig, "fig", "", "built-in figure/ablation plan (see: exp list)")
 	fs.IntVar(&p.cores, "cores", 16, "figure machine size: 16 or 64")
 	fs.IntVar(&p.scale, "scale", 1, "workload divisor (1 = paper scale)")
+	return p
 }
 
-func (p *planFlags) load() (exp.Plan, error) {
+// load expands the selected grid. Both or neither of -manifest and -fig,
+// an unknown -fig and a -cores other than 16 or 64 are usage errors; a
+// manifest file that cannot be read or expanded is not.
+func (p *planFlags) load() exp.Plan {
 	switch {
 	case p.manifest != "" && p.fig != "":
-		return exp.Plan{}, errors.New("exp: -manifest and -fig are mutually exclusive")
+		usagef(p.fs, "-manifest and -fig are mutually exclusive")
 	case p.manifest != "":
-		return exp.LoadManifest(p.manifest)
-	case p.fig != "":
-		return exp.FigurePlan(p.fig, p.cores, exp.Options{Scale: p.scale})
+		plan, err := exp.LoadManifest(p.manifest)
+		if err != nil {
+			fatal(err)
+		}
+		return plan
+	case p.fig == "":
+		usagef(p.fs, "select a grid with -manifest or -fig")
+	case p.cores != 16 && p.cores != 64:
+		usagef(p.fs, "-cores %d: want 16 or 64", p.cores)
 	}
-	return exp.Plan{}, errors.New("exp: select a grid with -manifest or -fig")
+	plan, err := exp.FigurePlan(p.fig, p.cores, exp.Options{Scale: p.scale})
+	if err != nil {
+		usagef(p.fs, "%s", errText(err))
+	}
+	return plan
 }
 
+// errText is err's message without the "exp: " prefix of the exp
+// package's errors, so that exp prints its prefix once.
+func errText(err error) string { return strings.TrimPrefix(err.Error(), "exp: ") }
+
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "exp:", err)
+	fmt.Fprintln(os.Stderr, "exp:", errText(err))
 	os.Exit(1)
+}
+
+// usagef reports a bad grid selection or flag value with the
+// subcommand's flags and exits 2.
+func usagef(fs *flag.FlagSet, format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
+	fs.Usage()
+	os.Exit(2)
 }
 
 func cmdPlan(args []string) {
 	fs := flag.NewFlagSet("exp plan", flag.ExitOnError)
-	var pf planFlags
-	pf.register(fs)
+	pf := newPlanFlags(fs)
 	asJSON := fs.Bool("json", false, "print the plan as JSON")
 	fs.Parse(args)
-	plan, err := pf.load()
-	if err != nil {
-		fatal(err)
-	}
+	plan := pf.load()
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -148,10 +180,21 @@ func cmdPlan(args []string) {
 	}
 }
 
+// parseShard reads -shard k/n strictly: two decimal integers without
+// sign, padding or spaces. exp.Plan.Shard checks their range.
+func parseShard(s string) (k, n int, err error) {
+	ks, ns, ok := strings.Cut(s, "/")
+	k, kerr := strconv.Atoi(ks)
+	n, nerr := strconv.Atoi(ns)
+	if !ok || kerr != nil || nerr != nil || fmt.Sprintf("%d/%d", k, n) != s {
+		return 0, 0, fmt.Errorf("-shard %s: want k/n, two integers such as 0/2", s)
+	}
+	return k, n, nil
+}
+
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("exp run", flag.ExitOnError)
-	var pf planFlags
-	pf.register(fs)
+	pf := newPlanFlags(fs)
 	var (
 		journalPath = fs.String("journal", "", "JSONL result journal (enables resume)")
 		workers     = fs.Int("workers", 0, "concurrent runs; 0 = GOMAXPROCS")
@@ -161,11 +204,21 @@ func cmdRun(args []string) {
 		stopAfter   = fs.Int("stop-after", 0, "stop dispatching after N completed runs (0 = no limit)")
 		csvPath     = fs.String("csv", "", "write the merged figure CSV here on completion")
 		quiet       = fs.Bool("quiet", false, "suppress progress output")
+		shard       = fs.String("shard", "", "run only slice `k/n` of the grid, 0 <= k < n (one journal per slice; exp merge joins them)")
 	)
 	fs.Parse(args)
-	plan, err := pf.load()
-	if err != nil {
-		fatal(err)
+	plan := pf.load()
+	if *shard != "" {
+		if *csvPath != "" {
+			usagef(fs, "-shard with -csv: a shard's CSV would lack the other shards' rows (exp merge their journals instead)")
+		}
+		k, n, err := parseShard(*shard)
+		if err == nil {
+			plan, err = plan.Shard(k, n)
+		}
+		if err != nil {
+			usagef(fs, "%s", errText(err))
+		}
 	}
 
 	eng := &exp.Engine{
@@ -183,7 +236,7 @@ func cmdRun(args []string) {
 		}
 		defer func() {
 			if err := j.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "exp:", err)
+				fmt.Fprintln(os.Stderr, "exp:", errText(err))
 			}
 		}()
 		eng.Journal, eng.Prior = j, prior
@@ -209,7 +262,7 @@ func cmdRun(args []string) {
 	signal.Stop(sigc)
 	switch {
 	case errors.Is(err, exp.ErrStopped):
-		fmt.Fprintln(os.Stderr, "exp:", err)
+		fmt.Fprintln(os.Stderr, "exp:", errText(err))
 		if interrupted.Load() {
 			os.Exit(130)
 		}
@@ -236,24 +289,23 @@ func cmdRun(args []string) {
 
 func cmdStatus(args []string) {
 	fs := flag.NewFlagSet("exp status", flag.ExitOnError)
-	var pf planFlags
-	pf.register(fs)
-	journalPath := fs.String("journal", "", "JSONL result journal")
+	pf := newPlanFlags(fs)
+	var journals journalList
+	fs.Var(&journals, "journal", "JSONL result journal (repeatable: one per shard; a missing file counts as empty)")
 	fs.Parse(args)
-	plan, err := pf.load()
+	plan := pf.load()
+	if len(journals) == 0 {
+		usagef(fs, "status needs at least one -journal")
+	}
+	var existing []string
+	for _, path := range journals {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			existing = append(existing, path)
+		}
+	}
+	byKey, sum, err := exp.ReconcileJournals(existing, false)
 	if err != nil {
 		fatal(err)
-	}
-	if *journalPath == "" {
-		fatal(errors.New("status needs -journal"))
-	}
-	recs, err := exp.LoadJournal(*journalPath)
-	if err != nil && !os.IsNotExist(err) {
-		fatal(err)
-	}
-	byKey := map[string]*exp.Record{}
-	for _, rec := range recs {
-		byKey[rec.Key] = rec // later lines win
 	}
 
 	var ok, failed, missing int
@@ -287,7 +339,10 @@ func cmdStatus(args []string) {
 		}
 	}
 	if missing > 0 {
-		fmt.Println("resume with: exp run (same grid flags and -journal)")
+		fmt.Println("resume with: exp run (same grid flags, -journal and -shard)")
+	}
+	if err := sum.Err(); err != nil {
+		fatal(err)
 	}
 }
 
@@ -302,19 +357,15 @@ func (j *journalList) Set(s string) error {
 
 func cmdMerge(args []string) {
 	fs := flag.NewFlagSet("exp merge", flag.ExitOnError)
-	var pf planFlags
-	pf.register(fs)
+	pf := newPlanFlags(fs)
 	var journals journalList
 	fs.Var(&journals, "journal", "JSONL result journal (repeatable: reconcile several)")
 	outPath := fs.String("o", "", "output CSV file (default stdout)")
 	salvage := fs.Bool("salvage", false, "recover damaged journals instead of refusing them")
 	fs.Parse(args)
-	plan, err := pf.load()
-	if err != nil {
-		fatal(err)
-	}
+	plan := pf.load()
 	if len(journals) == 0 {
-		fatal(errors.New("merge needs at least one -journal"))
+		usagef(fs, "merge needs at least one -journal")
 	}
 	records, sum, err := exp.ReconcileJournals(journals, *salvage)
 	if err != nil {
@@ -345,7 +396,7 @@ func cmdSalvage(args []string) {
 	outPath := fs.String("o", "", "write the repaired journal here (refuses to overwrite)")
 	fs.Parse(args)
 	if *journalPath == "" {
-		fatal(errors.New("salvage needs -journal"))
+		usagef(fs, "salvage needs -journal")
 	}
 	recs, rep, err := exp.SalvageJournal(*journalPath)
 	if err != nil {

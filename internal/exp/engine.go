@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"denovosync/internal/backoff"
 	"denovosync/internal/stats"
 )
 
@@ -32,15 +31,9 @@ type Engine struct {
 	// burns a core until process exit) and the attempt is recorded failed.
 	Timeout time.Duration
 
-	// Retries is the number of *extra* attempts after a failed one.
+	// Retries is the number of *extra* attempts after a failed one. A
+	// retry starts at once.
 	Retries int
-
-	// Backoff schedules the delay before each retry attempt (the shared
-	// seeded exponential-backoff-with-jitter policy, internal/backoff).
-	// Each run key retries on its own derived jitter stream, so the
-	// schedule is deterministic however the grid is partitioned. The
-	// zero value keeps the historical retry-immediately behavior.
-	Backoff backoff.Policy
 
 	// RetryFailed re-executes journaled failures instead of skipping them.
 	RetryFailed bool
@@ -50,8 +43,8 @@ type Engine struct {
 	// tests and CI smoke checks.
 	StopAfter int
 
-	// Stop, when closed, stops dispatching new runs; in-flight runs
-	// finish and are journaled.
+	// Stop, when closed, stops dispatching new runs and cancels the
+	// remaining retries; in-flight attempts finish and are journaled.
 	Stop <-chan struct{}
 
 	// Journal, when set, durably records every completed run; Prior is
@@ -267,10 +260,12 @@ func (e *Engine) runOne(r Run, fig string) *Record {
 		if attempt > e.Retries {
 			return rec
 		}
-		// A stop request cancels the wait (the failed record stands as-is
-		// and the grid resumes it — with -retry-failed — next session).
-		if !e.Backoff.Keyed(rec.Key).Sleep(attempt, e.Stop) {
+		// A stop request cancels the remaining retries: the failed record
+		// stands and the grid resumes it (with -retry-failed) next session.
+		select {
+		case <-e.Stop:
 			return rec
+		default:
 		}
 	}
 }

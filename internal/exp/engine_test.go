@@ -318,6 +318,37 @@ func TestEngineStopChannel(t *testing.T) {
 	}
 }
 
+// TestEngineStopCancelsRetries: a stop request that arrives while a run
+// is failing ends its retries. The run keeps one attempt and its failed
+// record, which a later session resumes with RetryFailed.
+func TestEngineStopCancelsRetries(t *testing.T) {
+	plan := fakePlan(1)
+	stop := make(chan struct{})
+	calls := 0
+	eng := &Engine{
+		Retries: 5,
+		Stop:    stop,
+		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
+			calls++
+			if calls == 1 {
+				close(stop)
+			}
+			return nil, nil, errors.New("transient fault")
+		},
+	}
+	records, sum, err := eng.Execute(plan)
+	if err != nil {
+		t.Fatalf("Execute: %v (the one dispatched run finished)", err)
+	}
+	rec := records[plan.Runs[0].Key()]
+	if calls != 1 || rec == nil || rec.Status != StatusFailed || rec.Attempts != 1 {
+		t.Fatalf("stop did not cancel the retries: %d calls, record %+v", calls, rec)
+	}
+	if sum.Executed != 1 || sum.Failed != 1 {
+		t.Errorf("summary %+v: want 1 executed, 1 failed", sum)
+	}
+}
+
 func TestEngineProgressReporting(t *testing.T) {
 	plan := fakePlan(4)
 	fake := newFakeExec()

@@ -32,6 +32,33 @@ func (p Plan) IsChaos() bool {
 // cores, where the paper increment IS 1) are legal: the engine executes
 // each distinct key once and every row renders from the shared record.
 
+// Shard returns slice k of n of the plan, for running one grid on
+// several hosts: the runs whose key is the i-th distinct key in plan
+// order with i mod n == k. Plan order is kept, a duplicate grid point
+// goes with its key, and the ID does not change, so the n shards'
+// journals together hold exactly the records one unsharded run writes,
+// and exp merge renders them into the same CSV.
+func (p Plan) Shard(k, n int) (Plan, error) {
+	if n < 1 || k < 0 || k >= n {
+		return Plan{}, fmt.Errorf("exp: shard %d/%d: want 0 <= k < n", k, n)
+	}
+	index := make(map[string]int, len(p.Runs))
+	shard := p
+	shard.Runs = nil
+	for _, r := range p.Runs {
+		key := r.Key()
+		i, ok := index[key]
+		if !ok {
+			i = len(index)
+			index[key] = i
+		}
+		if i%n == k {
+			shard.Runs = append(shard.Runs, r)
+		}
+	}
+	return shard, nil
+}
+
 // Manifest is the declarative, user-authored form of a grid: axes that
 // expand into the cross-product of runs. Empty axes take paper defaults.
 type Manifest struct {

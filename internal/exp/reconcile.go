@@ -10,14 +10,14 @@ import (
 )
 
 // Journal reconciliation: merge N append-only journals — written by
-// different machines, sessions, or fabric workers — into one record set
-// keyed by content-addressed run key. Because every run key hashes the
+// different machines, sessions, or shards of one grid — into one record
+// set keyed by content-addressed run key. Because every run key hashes the
 // full configuration and every simulation is cycle-exact deterministic,
 // two records for the same key MUST carry the same result: an
 // identical-key/identical-fingerprint pair is a trivial duplicate, and
 // an identical-key/different-result pair is not a merge conflict to
 // resolve but a determinism bug to report (Bayou's ordered-log merge
-// with the strongest possible conflict oracle). Reconcile never picks a
+// with the strongest possible conflict oracle). reconcile never picks a
 // winner silently — conflicting keys are escalated as structured
 // Conflict findings and the summary's Err makes drivers fail loudly.
 
@@ -44,9 +44,9 @@ func (rec *Record) ResultFingerprint() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Source is one journal's worth of records entering a merge, with the
-// name (path, worker ID) conflict findings should blame.
-type Source struct {
+// source is one journal's worth of records entering a merge, with the
+// name (its path) conflict findings should blame.
+type source struct {
 	Name    string
 	Records []*Record
 }
@@ -79,7 +79,7 @@ func (c Conflict) String() string {
 	return fmt.Sprintf("determinism conflict on %s (%s): %s", c.Key, c.Run.String(), strings.Join(sides, " vs "))
 }
 
-// MergeSummary describes one Reconcile pass.
+// MergeSummary describes one reconcile pass.
 type MergeSummary struct {
 	Sources    []string   `json:"sources"`
 	Records    int        `json:"records"`    // records read across all sources
@@ -116,7 +116,7 @@ type merged struct {
 	order []string            // fingerprint first-seen order (deterministic findings)
 }
 
-// Reconcile merges record sets by run key under the determinism
+// reconcile merges record sets by run key under the determinism
 // contract. Within and across sources:
 //
 //   - a success supersedes any failure for the same key (the retry
@@ -129,7 +129,7 @@ type merged struct {
 // The merged map is complete even when conflicts exist (each conflicted
 // key keeps its first-seen success so inspection tools still work), but
 // callers must check summary.Err() before trusting or rendering it.
-func Reconcile(sources []Source) (map[string]*Record, *MergeSummary) {
+func reconcile(sources []source) (map[string]*Record, *MergeSummary) {
 	sum := &MergeSummary{}
 	state := make(map[string]*merged)
 	for _, src := range sources {
@@ -206,7 +206,7 @@ func Reconcile(sources []Source) (map[string]*Record, *MergeSummary) {
 // salvage true damaged journals contribute their recoverable records
 // and each repair writes its sidecar report.
 func ReconcileJournals(paths []string, salvage bool) (map[string]*Record, *MergeSummary, error) {
-	var sources []Source
+	var sources []source
 	for _, path := range paths {
 		var recs []*Record
 		var err error
@@ -224,8 +224,8 @@ func ReconcileJournals(paths []string, salvage bool) (map[string]*Record, *Merge
 		if err != nil {
 			return nil, nil, err
 		}
-		sources = append(sources, Source{Name: path, Records: recs})
+		sources = append(sources, source{Name: path, Records: recs})
 	}
-	records, sum := Reconcile(sources)
+	records, sum := reconcile(sources)
 	return records, sum, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"denovosync/internal/backoff"
 	"denovosync/internal/sim"
 	"denovosync/internal/stats"
 )
@@ -52,18 +51,18 @@ func TestResultFingerprintIgnoresHostDetail(t *testing.T) {
 func TestReconcileMergesDisjointAndOverlapping(t *testing.T) {
 	plan := fakePlan(6)
 	rs := plan.Runs
-	a := Source{Name: "worker-a", Records: []*Record{
+	a := source{Name: "worker-a", Records: []*Record{
 		okRecord(rs[0], 1000), okRecord(rs[1], 1001), failedRecord(rs[2], 2, "panic: host a"),
 	}}
-	b := Source{Name: "worker-b", Records: []*Record{
+	b := source{Name: "worker-b", Records: []*Record{
 		okRecord(rs[1], 1001), // duplicate of a's result
 		okRecord(rs[2], 1002), // supersedes a's failure
 		okRecord(rs[3], 1003),
 	}}
-	c := Source{Name: "worker-c", Records: []*Record{
+	c := source{Name: "worker-c", Records: []*Record{
 		okRecord(rs[4], 1004), okRecord(rs[5], 1005),
 	}}
-	records, sum := Reconcile([]Source{a, b, c})
+	records, sum := reconcile([]source{a, b, c})
 	if err := sum.Err(); err != nil {
 		t.Fatalf("clean merge reported conflicts: %v", err)
 	}
@@ -88,10 +87,10 @@ func TestReconcileMergesDisjointAndOverlapping(t *testing.T) {
 // journal is read first.
 func TestReconcileSuccessBeatsFailureEitherOrder(t *testing.T) {
 	r := fakePlan(1).Runs[0]
-	ok := Source{Name: "ok", Records: []*Record{okRecord(r, 1000)}}
-	bad := Source{Name: "bad", Records: []*Record{failedRecord(r, 3, "boom")}}
-	for _, order := range [][]Source{{ok, bad}, {bad, ok}} {
-		records, sum := Reconcile(order)
+	ok := source{Name: "ok", Records: []*Record{okRecord(r, 1000)}}
+	bad := source{Name: "bad", Records: []*Record{failedRecord(r, 3, "boom")}}
+	for _, order := range [][]source{{ok, bad}, {bad, ok}} {
+		records, sum := reconcile(order)
 		if rec := records[r.Key()]; rec.Status != StatusOK {
 			t.Fatalf("order %s+%s: merged status %s", order[0].Name, order[1].Name, rec.Status)
 		}
@@ -103,7 +102,7 @@ func TestReconcileSuccessBeatsFailureEitherOrder(t *testing.T) {
 
 func TestReconcileCompetingFailuresKeepMostAttempts(t *testing.T) {
 	r := fakePlan(1).Runs[0]
-	records, sum := Reconcile([]Source{
+	records, sum := reconcile([]source{
 		{Name: "a", Records: []*Record{failedRecord(r, 1, "first")}},
 		{Name: "b", Records: []*Record{failedRecord(r, 4, "second host, different stack")}},
 	})
@@ -120,9 +119,9 @@ func TestReconcileCompetingFailuresKeepMostAttempts(t *testing.T) {
 func TestReconcileConflictIsDeterminismFinding(t *testing.T) {
 	plan := fakePlan(2)
 	r := plan.Runs[0]
-	good := Source{Name: "journal-a", Records: []*Record{okRecord(r, 1000), okRecord(plan.Runs[1], 1001)}}
-	evil := Source{Name: "journal-b", Records: []*Record{okRecord(r, 9999)}} // same key, different result
-	records, sum := Reconcile([]Source{good, evil})
+	good := source{Name: "journal-a", Records: []*Record{okRecord(r, 1000), okRecord(plan.Runs[1], 1001)}}
+	evil := source{Name: "journal-b", Records: []*Record{okRecord(r, 9999)}} // same key, different result
+	records, sum := reconcile([]source{good, evil})
 
 	if len(sum.Conflicts) != 1 {
 		t.Fatalf("want exactly 1 conflict, got %+v", sum.Conflicts)
@@ -146,7 +145,7 @@ func TestReconcileConflictIsDeterminismFinding(t *testing.T) {
 	if records[r.Key()] == nil {
 		t.Errorf("conflicted key dropped from the merged set")
 	}
-	// The finding round-trips as JSON (it is journaled by the fabric).
+	// The finding round-trips as JSON.
 	b, jerr := json.Marshal(c)
 	if jerr != nil {
 		t.Fatalf("conflict does not marshal: %v", jerr)
@@ -247,61 +246,3 @@ func writeJournalAppend(t *testing.T, path, s string) {
 		t.Fatal(err)
 	}
 }
-
-// TestEngineBackoffDelaysRetries: the engine sleeps the policy's
-// deterministic schedule between attempts and a stop request cancels the
-// wait.
-func TestEngineBackoffDelaysRetries(t *testing.T) {
-	plan := fakePlan(1)
-	key := plan.Runs[0].Key()
-	pol := backoff.Policy{Base: 30 * time.Millisecond, Max: 30 * time.Millisecond, Seed: 5}
-	calls := 0
-	eng := &Engine{
-		Retries: 2,
-		Backoff: pol,
-		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
-			calls++
-			if calls < 3 {
-				return nil, nil, errTransient
-			}
-			return &stats.RunStats{ExecTime: 7}, nil, nil
-		},
-	}
-	start := time.Now()
-	records, _, err := eng.Execute(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := records[key]; rec.Status != StatusOK || rec.Attempts != 3 {
-		t.Fatalf("retry with backoff did not recover: %+v", rec)
-	}
-	// Two waits, each at least nominal/2 = 15ms.
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("engine did not observe the backoff schedule: %v elapsed", elapsed)
-	}
-
-	// A pre-closed stop channel cancels the retry wait immediately.
-	stop := make(chan struct{})
-	close(stop)
-	slow := backoff.Policy{Base: time.Hour, Seed: 5}
-	eng2 := &Engine{
-		Retries: 5, Backoff: slow, Stop: stop,
-		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
-			return nil, nil, errTransient
-		},
-	}
-	start = time.Now()
-	records, _, _ = eng2.Execute(plan)
-	if time.Since(start) > 10*time.Second {
-		t.Fatalf("stopped engine still slept the backoff")
-	}
-	if rec := records[key]; rec != nil && rec.Status == StatusOK {
-		t.Fatalf("cancelled retry reported success")
-	}
-}
-
-var errTransient = errTransientType{}
-
-type errTransientType struct{}
-
-func (errTransientType) Error() string { return "transient fault" }

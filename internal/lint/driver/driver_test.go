@@ -172,12 +172,12 @@ func Sum(m map[string]int) int {
 	}
 }
 
-// TestFabricScopeBoundary pins the determinism boundary around the
-// distributed fabric: the identical wall-clock/map-range constructs are
-// clean in internal/fabric (host-service code — leases and heartbeats
-// are wall-clock business) but findings in internal/backoff, whose
-// seeded retry schedule must stay a pure function.
-func TestFabricScopeBoundary(t *testing.T) {
+// TestDeterminismScopeBoundary pins the determinism boundary between
+// the orchestration layer and a replayable upper layer: the identical
+// wall-clock/map-range constructs are clean in internal/exp (host-side
+// orchestration: ETAs and timeouts are wall-clock business) but findings
+// in internal/chaos, whose (spec, seed) runs must replay bit-identically.
+func TestDeterminismScopeBoundary(t *testing.T) {
 	src := `package %s
 
 import "time"
@@ -193,8 +193,8 @@ func Keys(m map[string]int) []string {
 }
 `
 	dir := writeModule(t, map[string]string{
-		"internal/fabric/lease.go":  fmt.Sprintf(src, "fabric"),
-		"internal/backoff/clock.go": fmt.Sprintf(src, "backoff"),
+		"internal/exp/deadline.go":   fmt.Sprintf(src, "exp"),
+		"internal/chaos/deadline.go": fmt.Sprintf(src, "chaos"),
 	})
 	findings, err := driver.Run(dir, lint.Analyzers())
 	if err != nil {
@@ -205,14 +205,14 @@ func Keys(m map[string]int) []string {
 			t.Errorf("unexpected %s finding: %s", f.Analyzer, f)
 			continue
 		}
-		if !strings.Contains(filepath.ToSlash(f.Pos.Filename), "internal/backoff/") {
-			t.Errorf("determinism finding outside the backoff scope: %s", f)
+		if !strings.Contains(filepath.ToSlash(f.Pos.Filename), "internal/chaos/") {
+			t.Errorf("determinism finding outside the chaos scope: %s", f)
 		}
 	}
-	// Both constructs caught in backoff (time.Now + map range), none in
-	// fabric.
+	// Both constructs caught in chaos (time.Now + map range), none in
+	// exp.
 	if len(findings) != 2 {
-		t.Fatalf("want exactly 2 findings (both in internal/backoff), got %v", findings)
+		t.Fatalf("want exactly 2 findings (both in internal/chaos), got %v", findings)
 	}
 }
 

@@ -75,18 +75,10 @@ var scopes = map[string][]string{
 	// and corpus contents are a pure function of seed + journal), so the
 	// same rules apply — seeded generators only, no wall clock, no
 	// order-sensitive map ranges without a per-site justification.
-	// internal/backoff is the one piece of the distributed fabric inside
-	// the determinism scope: its retry schedule is a pure seeded function
-	// (the same (seed, key, attempt) always yields the same delay, which
-	// is what makes fabric fault tests replayable), so the simulator-core
-	// rules apply. internal/fabric itself stays host-service code like
-	// internal/exp: leases, heartbeats, and RPC timeouts are wall-clock
-	// business by design, and every run it distributes is still
-	// cycle-exact deterministic inside the simulation boundary.
 	Determinism.Name: {
 		"internal/sim", "internal/cache", "internal/mesi", "internal/denovo",
 		"internal/noc", "internal/mem", "internal/cpu", "internal/stats",
-		"internal/chaos", "internal/fuzz", "internal/backoff",
+		"internal/chaos", "internal/fuzz",
 	},
 	CycleHygiene.Name: {
 		"internal/sim", "internal/cache", "internal/mesi", "internal/denovo",

@@ -79,18 +79,6 @@ func TestScopes(t *testing.T) {
 		{"cyclehygiene", "internal/chaos", false},
 		{"threaddiscipline", "internal/chaos", false},
 		{"exhauststate", "internal/chaos", true},
-		// internal/fabric is host-service code (leases, heartbeats, RPC
-		// timeouts are wall-clock business), outside every scoped
-		// analyzer like internal/exp...
-		{"exhauststate", "internal/fabric", true},
-		{"determinism", "internal/fabric", false},
-		{"cyclehygiene", "internal/fabric", false},
-		{"threaddiscipline", "internal/fabric", false},
-		// ...except its retry schedule, internal/backoff, which is a pure
-		// seeded function and *is* held to the determinism rules.
-		{"determinism", "internal/backoff", true},
-		{"cyclehygiene", "internal/backoff", false},
-		{"threaddiscipline", "internal/backoff", false},
 	}
 	for _, c := range cases {
 		if got := lint.InScope(lint.ByName(c.analyzer), c.rel); got != c.want {
