@@ -1,13 +1,16 @@
-package machine_test
-
-// The fingerprint battery: every kernel x protocol cell at 16 cores must
-// reproduce its pinned determinism fingerprint. The battery began as the
-// differential test of a parallel engine, since removed, against the
-// serial one; each cell is pinned to the fingerprint both engines agreed
-// on (testdata/battery_golden.txt).
+// Package pdes_test holds the differential battery that certified the
+// parallel engine against the serial one: every partitioned run had to
+// reproduce the serial run's determinism fingerprint bit-for-bit. The
+// parallel engine has been removed, and the simulator now runs on one
+// engine. The battery stays, under its old path and names, as the
+// serial half of that oracle: every kernel x protocol cell must still
+// produce the fingerprint that both engines agreed on when the parallel
+// one was deleted (testdata/battery_golden.txt).
+package pdes_test
 
 import (
 	"bufio"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +21,8 @@ import (
 	"denovosync/internal/machine"
 	"denovosync/internal/stats"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/battery_golden.txt from the simulator")
 
 // jobSpec is one cell of the differential matrix.
 type jobSpec struct {
@@ -96,13 +101,13 @@ func matrix(t *testing.T) []jobSpec {
 	return fullMatrix()
 }
 
-var batteryGoldenPath = filepath.Join("testdata", "battery_golden.txt")
+var goldenPath = filepath.Join("testdata", "battery_golden.txt")
 
 // readGolden maps each cell name to its pinned fingerprint. Each line of
 // the golden file is "<kernel>/<config>\t<fingerprint>".
 func readGolden(t *testing.T) map[string]string {
 	t.Helper()
-	f, err := os.Open(batteryGoldenPath)
+	f, err := os.Open(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
@@ -113,7 +118,7 @@ func readGolden(t *testing.T) map[string]string {
 	for line := 1; sc.Scan(); line++ {
 		name, fp, ok := strings.Cut(sc.Text(), "\t")
 		if !ok {
-			t.Fatalf("%s:%d: want \"<kernel>/<config>\\t<fingerprint>\"", batteryGoldenPath, line)
+			t.Fatalf("%s:%d: want \"<kernel>/<config>\\t<fingerprint>\"", goldenPath, line)
 		}
 		golden[name] = fp
 	}
@@ -154,7 +159,7 @@ func TestDifferentialBattery(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(batteryGoldenPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
